@@ -26,8 +26,7 @@ object PdsDbscan {
     pts.foreach(p => byId(p.id.toInt) = p)
     val bcPts = sc.broadcast(byId)
     val bcTree = sc.broadcast(KDTree.build(byId))
-    val p0 = if (par > 0) par else sc.defaultParallelism
-    val parts = repro.core.Par.parts(n / 256 + 1, p0)
+    val parts = repro.core.Par.parts(n / 256 + 1, repro.core.Par.threads(sc, par))
     val ids = sc.parallelize(0 until n, parts)
 
     // Pass 1: core flags via pointwise range counting.

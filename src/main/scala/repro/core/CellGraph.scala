@@ -1,5 +1,6 @@
 package repro.core
 
+import scala.reflect.ClassTag
 import org.apache.spark.SparkContext
 import org.apache.spark.broadcast.Broadcast
 import repro.geometry.QuadTree
@@ -52,7 +53,7 @@ object ConnCtx {
     val coreHi = new Array[Array[Double]](m)
     var c = 0
     while (c < m) {
-      val cps = idx.pts(c).filter(p => flags(p.id.toInt))
+      val cps = corePts(idx, flags, c)
       coreCount(c) = cps.length
       if (cps.nonEmpty) {
         val bb = BBox.of(cps)
@@ -60,9 +61,14 @@ object ConnCtx {
       }
       c += 1
     }
+    // Per-core-cell builds run over the core cells only (most cells are
+    // noise); `byCell` places their results at the cell ids.
     val coreCells = (0 until m).filter(coreCount(_) > 0)
-    val p = if (par > 0) par else sc.defaultParallelism
-    val parts = Par.parts(coreCells.size, p)
+    def byCell[T: ClassTag](built: Array[T]): Array[T] = {
+      val out = new Array[T](m)
+      coreCells.indices.foreach(i => out(coreCells(i)) = built(i))
+      out
+    }
 
     val qts = method match {
       case QtGraph | ApproxGraph(_) =>
@@ -70,36 +76,32 @@ object ConnCtx {
           case ApproxGraph(rho) => rho * idx.cellSide // ρ·ε/√d
           case _                => 0.0
         }
-        val built = sc.parallelize(coreCells, parts).map { c =>
+        byCell(Par.perCell(sc, coreCells, par) { c =>
           val i = bcIdx.value
-          val cps = i.pts(c).filter(p => bcFlags.value(p.id.toInt))
-          val qt =
+          val cps = corePts(i, bcFlags.value, c)
+          Some(
             if (minSide > 0) QuadTree.buildApprox(cps, i.qtLo(c), i.cellSide, minSide)
-            else QuadTree.build(cps, i.qtLo(c), i.cellSide)
-          (c, qt)
-        }.collect()
-        val arr = new Array[QuadTree](m)
-        built.foreach { case (c, qt) => arr(c) = qt }
-        arr
+            else QuadTree.build(cps, i.qtLo(c), i.cellSide))
+        })
       case _ => null
     }
 
     val (s0, s1) = method match {
       case UsecGraph =>
         require(idx.d == 2, "USEC cell graph is 2D-only")
-        val built = sc.parallelize(coreCells, parts).map { c =>
-          val i = bcIdx.value
-          val cps = i.pts(c).filter(p => bcFlags.value(p.id.toInt))
-          (c, cps.sortBy(_.x(0)), cps.sortBy(_.x(1)))
-        }.collect()
-        val a0 = new Array[Array[Pt]](m); val a1 = new Array[Array[Pt]](m)
-        built.foreach { case (c, by0, by1) => a0(c) = by0; a1(c) = by1 }
-        (a0, a1)
+        val sorted = Par.perCell(sc, coreCells, par) { c =>
+          val cps = corePts(bcIdx.value, bcFlags.value, c)
+          Some((cps.sortBy(_.x(0)), cps.sortBy(_.x(1))))
+        }
+        (byCell(sorted.map(_._1)), byCell(sorted.map(_._2)))
       case _ => (null, null)
     }
 
     new ConnCtx(coreCount, coreLo, coreHi, qts, s0, s1)
   }
+
+  private def corePts(idx: CellIndex, flags: Array[Boolean], c: Int): Array[Pt] =
+    idx.pts(c).filter(p => flags(p.id.toInt))
 }
 
 /** The per-pair connectivity queries of ClusterCore (paper §4.4, §5.2). */
@@ -125,8 +127,8 @@ object CellGraph {
     idx.pts(c).filter(p => flags(p.id.toInt) && bb.minSqDistTo(p.x) <= e2)
   }
 
-  /** BCP with filtering + early termination. The paper parallelizes inside a
-    * pair with fixed-size blocks; here the parallelism is across pairs (one
+  /** BCP with filtering + early termination. The paper splits one pair into
+    * fixed-size blocks run in parallel; here the parallelism is across pairs (one
     * Spark task evaluates whole pairs), so a plain early-exit scan is the
     * faithful per-pair kernel. */
   def bcpConnected(idx: CellIndex, ctx: ConnCtx, g: Int, h: Int,

@@ -144,21 +144,55 @@ object CellIndex {
     df.withColumn("cell", array(cols.map(c => floor(col(c) / lit(side)).cast("int")): _*))
   }
 
-  /** Grid-based construction (paper §4.1, used for all d).
+  /** Grid-based construction (paper §4.1, used for all d). */
+  def grid(points: RDD[Pt], eps: Double, d: Int): CellIndex = {
+    val side = sideFor(eps, d)
+    build(points, eps, d)(p => gridKey(p.x, side))
+  }
+
+  /** Box-based construction (paper §4.2, 2D only): x-strips of width ≤ ε/√2,
+    * then y-boxes of height ≤ ε/√2 inside each strip. Strip/box boundaries
+    * are the same ones the paper's pointer-jumping computes: a new strip
+    * starts at the first point more than ε/√2 past the current strip start. */
+  def box2d(points: RDD[Pt], eps: Double): CellIndex = {
+    val side = sideFor(eps, 2)
+    val sc = points.sparkContext
+    // Strip boundaries from the sorted x-coordinates (driver scan over one
+    // primitive array — the O(n) sequential dependence the paper removes
+    // with pointer jumping; at single-node scale this scan is negligible).
+    val xs = points.map(_.x(0)).collect()
+    java.util.Arrays.sort(xs)
+    val bcStrips = sc.broadcast(boundaries(xs, side))
+    try {
+      val strip = (p: Pt) => lastLeq(bcStrips.value, p.x(0))
+      // Per-strip y boundaries.
+      val yBounds = points
+        .map(p => (strip(p), p.x(1)))
+        .groupByKey()
+        .mapValues { ys => val a = ys.toArray; java.util.Arrays.sort(a); boundaries(a, side) }
+        .collect()
+        .toMap
+      val bcY = sc.broadcast(yBounds)
+      try build(points, eps, 2) { p => val s = strip(p); Vector(s, lastLeq(bcY.value(s), p.x(1))) }
+      finally bcY.destroy()
+    } finally bcStrips.destroy()
+  }
+
+  /** Groups points into cells by `key` and finalizes the index; shared by
+    * both constructions.
     *
     * The paper's work-efficient semisort groups points by cell id without
     * ordering; the Spark analogue is a combiner-style shuffle: each partition
     * pre-groups its points into primitive-packed (ids, coords) arrays per
     * cell (PBBS's per-block histograms), then `reduceByKey` concatenates —
     * only flat arrays cross the shuffle, never per-point objects. */
-  def grid(points: RDD[Pt], eps: Double, d: Int): CellIndex = {
-    val side = sideFor(eps, d)
+  private def build(points: RDD[Pt], eps: Double, d: Int)(key: Pt => Vector[Int]): CellIndex = {
     val grouped = points
       .mapPartitions { it =>
         val local = scala.collection.mutable.HashMap[Vector[Int],
           (scala.collection.mutable.ArrayBuilder.ofLong, scala.collection.mutable.ArrayBuilder.ofDouble)]()
         it.foreach { p =>
-          val (ids, cs) = local.getOrElseUpdate(gridKey(p.x, side),
+          val (ids, cs) = local.getOrElseUpdate(key(p),
             (new scala.collection.mutable.ArrayBuilder.ofLong,
              new scala.collection.mutable.ArrayBuilder.ofDouble))
           ids += p.id
@@ -173,38 +207,7 @@ object CellIndex {
         Pt(ids(i), java.util.Arrays.copyOfRange(cs, i * d, i * d + d))
       }
     }
-    finalize(cells, grouped.map(_._1), eps, side, d, points.sparkContext)
-  }
-
-  /** Box-based construction (paper §4.2, 2D only): x-strips of width ≤ ε/√2,
-    * then y-boxes of height ≤ ε/√2 inside each strip. Strip/box boundaries
-    * are the same ones the paper's pointer-jumping computes: a new strip
-    * starts at the first point more than ε/√2 past the current strip start. */
-  def box2d(points: RDD[Pt], eps: Double): CellIndex = {
-    val d = 2
-    val side = sideFor(eps, d)
-    // Strip boundaries from the sorted x-coordinates (driver scan over one
-    // primitive array — the O(n) sequential dependence the paper removes
-    // with pointer jumping; at single-node scale this scan is negligible).
-    val xs = points.map(_.x(0)).collect()
-    java.util.Arrays.sort(xs)
-    val stripStarts = boundaries(xs, side)
-    val bcStrips = points.sparkContext.broadcast(stripStarts)
-    val withStrip = points.map { p => (lastLeq(bcStrips.value, p.x(0)), p) }
-    // Per-strip y boundaries.
-    val yBounds = withStrip
-      .map { case (s, p) => (s, p.x(1)) }
-      .groupByKey()
-      .mapValues { ys => val a = ys.toArray; java.util.Arrays.sort(a); boundaries(a, side) }
-      .collect()
-      .toMap
-    val bcY = points.sparkContext.broadcast(yBounds)
-    val grouped = withStrip
-      .map { case (s, p) => (Vector(s, lastLeq(bcY.value(s), p.x(1))), p) }
-      .groupByKey()
-      .mapValues(_.toArray)
-      .collect()
-    finalize(grouped.map(_._2), grouped.map(_._1), eps, side, d, points.sparkContext)
+    finalize(cells, grouped.map(_._1), eps, sideFor(eps, d), d, points.sparkContext)
   }
 
   /** Starts of consecutive intervals of width `side` over sorted values. */
@@ -250,40 +253,21 @@ object CellIndex {
       c += 1
     }
     // Neighbor lookup: centers within eps + maxDiag cover every cell pair
-    // with bbox distance ≤ eps; exact-filter afterwards.
-    val centers = Array.tabulate(m) { i =>
-      val ctr = new Array[Double](d)
-      var j = 0; while (j < d) { ctr(j) = (lo(i)(j) + hi(i)(j)) / 2; j += 1 }
-      Pt(i, ctr)
-    }
-    val tree = KDTree.build(centers)
+    // with bbox distance ≤ eps; exact-filter afterwards. The per-cell queries
+    // are embarrassingly parallel (sequential on the driver they are the
+    // bottleneck on datasets where every noise point is its own cell).
+    val tree = KDTree.build(Array.tabulate(m)(i => Pt(i, BBox(lo(i), hi(i)).center)))
     val e2 = eps * eps
     val r = eps + maxDiag
-    def neighborsOf(tr: KDTree, loA: Array[Array[Double]], hiA: Array[Array[Double]],
-                    ctr: Array[Pt])(i: Int): Array[Int] = {
+    val bc = sc.broadcast((tree, lo, hi))
+    val neighbors = try Par.perCell(sc, 0 until m, par = 0) { i =>
+      val (tr, loA, hiA) = bc.value
       val bb = BBox(loA(i), hiA(i))
-      tr.within(ctr(i).x, r)
+      Some(tr.within(bb.center, r)
         .map(_.id.toInt)
         .filter(j => j != i && bb.minSqDist(BBox(loA(j), hiA(j))) <= e2)
-        .sorted
-    }
-    // Per-cell neighbor queries are embarrassingly parallel; for large cell
-    // counts run them as a Spark map (the driver-sequential version is the
-    // bottleneck on datasets where every noise point is its own cell).
-    val neighbors: Array[Array[Int]] =
-      if (m < 4096) Array.tabulate(m)(neighborsOf(tree, lo, hi, centers))
-      else {
-        val bcTree = sc.broadcast(tree)
-        val bcLo = sc.broadcast(lo); val bcHi = sc.broadcast(hi)
-        val bcCenters = sc.broadcast(centers)
-        val out = new Array[Array[Int]](m)
-        sc.parallelize(0 until m, math.max(1, sc.defaultParallelism * 4))
-          .map(i => (i, neighborsOf(bcTree.value, bcLo.value, bcHi.value, bcCenters.value)(i)))
-          .collect()
-          .foreach { case (i, nb) => out(i) = nb }
-        Seq(bcTree, bcLo, bcHi, bcCenters).foreach(_.destroy())
-        out
-      }
+        .sorted)
+    } finally bc.destroy()
     new CellIndex(eps, side, d, n, keys, lo, hi, cells, neighbors)
   }
 }

@@ -21,16 +21,10 @@ object ClusterBorder {
           bcComp: Broadcast[Array[Int]], minPts: Int, par: Int = 0): Array[Array[Int]] = {
     val idx = bcIdx.value
     val flags = bcFlags.value
-    val m = idx.numCells
-    val n = idx.n.toInt
-    val smallCells = (0 until m).filter { c =>
+    val smallCells = (0 until idx.numCells).filter { c =>
       idx.pts(c).exists(p => !flags(p.id.toInt))
     }
-    val out = Array.fill(n)(Array.empty[Int])
-    if (smallCells.isEmpty) return out
-    val p = if (par > 0) par else sc.defaultParallelism
-    val parts = Par.parts(smallCells.size, p)
-    val assigned = sc.parallelize(smallCells, parts).flatMap { g =>
+    val assigned = Par.perCell(sc, smallCells, par) { g =>
       val i = bcIdx.value
       val fl = bcFlags.value
       val comp = bcComp.value
@@ -55,10 +49,12 @@ object ClusterBorder {
             if (hit) comps += comp(h)
           }
         }
-        if (comps.nonEmpty) Iterator.single((p.id.toInt, comps.toArray)) else Iterator.empty
+        // One array per border point: its id, then its cluster ids.
+        if (comps.nonEmpty) Iterator.single(p.id.toInt +: comps.toArray) else Iterator.empty
       }
-    }.collect()
-    assigned.foreach { case (pid, cs) => out(pid) = cs }
+    }
+    val out = Array.fill(idx.n.toInt)(Array.empty[Int])
+    assigned.foreach(a => out(a(0)) = a.tail)
     out
   }
 }

@@ -31,11 +31,11 @@ object ClusterCore {
   /** Returns (component id per cell, -1 for non-core cells; stats). */
   def run(sc: SparkContext, bcIdx: Broadcast[CellIndex], bcFlags: Broadcast[Array[Boolean]],
           bcCtx: Broadcast[ConnCtx], method: GraphMethod, bucketing: Boolean,
-          numBuckets: Int = 32, par: Int = 0): (Array[Int], GraphStats) = {
+          numBuckets: Int = DBSCANConfig.DefaultBuckets, par: Int = 0): (Array[Int], GraphStats) = {
     val idx = bcIdx.value
     val ctx = bcCtx.value
     val m = idx.numCells
-    val p = if (par > 0) par else sc.defaultParallelism
+    val p = Par.threads(sc, par)
     method match {
       case DelaunayGraph => runDelaunay(sc, bcIdx, bcFlags, ctx, p)
       case _ =>
@@ -70,7 +70,7 @@ object ClusterCore {
             // Owners are cheap units; group ~16 per partition so small
             // batches don't pay for dozens of near-empty tasks.
             val parts = Par.parts(owners.length / 16 + 1, p)
-            val results = sc.parallelize(owners, parts).map { case (g, hs) =>
+            val results = try sc.parallelize(owners, parts).map { case (g, hs) =>
               val snapV = bcSnap.value
               val linked = scala.collection.mutable.HashSet[Int](snapV(g))
               val hits = scala.collection.mutable.ArrayBuffer[(Int, Int)]()
@@ -88,8 +88,7 @@ object ClusterCore {
                 i += 1
               }
               (hits.toArray, queries)
-            }.collect()
-            bcSnap.destroy()
+            }.collect() finally bcSnap.destroy()
             results.foreach { case (hits, q) =>
               run += q
               edges += hits.length
@@ -136,12 +135,12 @@ object ClusterCore {
       val eps2 = idx.eps * idx.eps
       val bcPx = sc.broadcast(px); val bcPy = sc.broadcast(py); val bcCell = sc.broadcast(cellOf)
       val parts = Par.parts(dt.length / 4096 + 1, par)
-      val hits = sc.parallelize(dt.toSeq, parts).flatMap { case (a, b) =>
+      val hits = try sc.parallelize(dt.toSeq, parts).flatMap { case (a, b) =>
         val xs = bcPx.value; val ys = bcPy.value; val cl = bcCell.value
         val dx = xs(a) - xs(b); val dy = ys(a) - ys(b)
         if (cl(a) != cl(b) && dx * dx + dy * dy <= eps2) Iterator.single((cl(a), cl(b)))
         else Iterator.empty
-      }.distinct().collect()
+      }.distinct().collect() finally Seq(bcPx, bcPy, bcCell).foreach(_.destroy())
       edgeCount = hits.length
       hits.foreach { case (g, h) => uf.union(g, h) }
     }

@@ -1,8 +1,11 @@
 package repro.core
 
+import scala.collection.mutable.ArrayBuffer
+import scala.reflect.ClassTag
+import org.apache.spark.SparkContext
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.geometry.QuadTree
 
 /** Full configuration of one DBSCAN run — the cross product of the paper's
   * implementation variants (§7.1). */
@@ -13,7 +16,7 @@ final case class DBSCANConfig(
     coreMethod: CoreMethod = ScanCore,
     graphMethod: GraphMethod = BcpGraph,
     bucketing: Boolean = false,
-    numBuckets: Int = 8,
+    numBuckets: Int = DBSCANConfig.DefaultBuckets,
     parallelism: Int = 0, // 0 = sc.defaultParallelism; the "thread count" knob
 ) {
   /** Paper-style name of this variant, e.g. "our-exact-qt-bucketing". */
@@ -36,6 +39,9 @@ final case class DBSCANConfig(
 }
 
 object DBSCANConfig {
+  /** Bucket count of the bucketing optimization (paper §4.4). */
+  private[core] final val DefaultBuckets = 8
+
   /** our-exact: scan-based MarkCore + BCP cell graph. */
   def exact(eps: Double, minPts: Int): DBSCANConfig = DBSCANConfig(eps, minPts)
   /** our-exact-qt: quadtree MarkCore + quadtree RangeCount cell graph. */
@@ -85,6 +91,19 @@ object Par {
     * 4x oversubscription for load balancing. */
   def parts(work: Int, par: Int): Int =
     math.max(1, math.min(work, if (par <= 2) par else par * 4))
+
+  /** Target parallelism: `par`, or Spark's default when `par <= 0`. */
+  private[repro] def threads(sc: SparkContext, par: Int): Int =
+    if (par > 0) par else sc.defaultParallelism
+
+  /** The parallel loop over cells that every phase of paper Alg. 1 is: runs
+    * `f` on each cell id as one Spark job with `parts(cells.length, par)`
+    * partitions and returns what it emits, in input order. `f` may emit any
+    * number of results per cell. No job runs for an empty cell list. */
+  private[core] def perCell[T: ClassTag](sc: SparkContext, cells: Seq[Int], par: Int)(
+      f: Int => IterableOnce[T]): Array[T] =
+    if (cells.isEmpty) Array.empty[T]
+    else sc.parallelize(cells, parts(cells.length, threads(sc, par))).flatMap(f).collect()
 }
 
 /** Top-level parallel DBSCAN driver (paper Alg. 1). */
@@ -92,63 +111,63 @@ object DBSCAN {
 
   def run(spark: SparkSession, points: RDD[Pt], d: Int, cfg: DBSCANConfig): DBSCANResult = {
     val sc = spark.sparkContext
-    val par = if (cfg.parallelism > 0) cfg.parallelism else sc.defaultParallelism
+    val par = cfg.parallelism
     require(cfg.cellMethod == GridCells || d == 2, "box cells are 2D-only")
+    // Every broadcast of the run is destroyed on exit, also when a phase throws.
+    val shared = ArrayBuffer[Broadcast[_]]()
+    def share[T: ClassTag](v: T): Broadcast[T] = { val b = sc.broadcast(v); shared += b; b }
+    try {
+      var t0 = System.nanoTime()
+      val idx = cfg.cellMethod match {
+        case GridCells => CellIndex.grid(points, cfg.eps, d)
+        case BoxCells  => CellIndex.box2d(points, cfg.eps)
+      }
+      val bcIdx = share(idx)
+      val gridMs = (System.nanoTime() - t0) / 1000000
 
-    var t0 = System.nanoTime()
-    val idx = cfg.cellMethod match {
-      case GridCells => CellIndex.grid(points, cfg.eps, d)
-      case BoxCells  => CellIndex.box2d(points, cfg.eps)
-    }
-    val bcIdx = sc.broadcast(idx)
-    val gridMs = (System.nanoTime() - t0) / 1000000
-
-    t0 = System.nanoTime()
-    val bcQt: Option[org.apache.spark.broadcast.Broadcast[Array[QuadTree]]] =
-      cfg.coreMethod match {
-        case QtCore   => Some(sc.broadcast(MarkCore.buildCellQuadTrees(sc, bcIdx, par)))
+      t0 = System.nanoTime()
+      val bcQt = cfg.coreMethod match {
+        case QtCore   => Some(share(MarkCore.buildCellQuadTrees(sc, bcIdx, par)))
         case ScanCore => None
       }
-    val flags = MarkCore.run(sc, bcIdx, cfg.minPts, bcQt, par)
-    val bcFlags = sc.broadcast(flags)
-    val markMs = (System.nanoTime() - t0) / 1000000
+      val flags = MarkCore.run(sc, bcIdx, cfg.minPts, bcQt, par)
+      val bcFlags = share(flags)
+      val markMs = (System.nanoTime() - t0) / 1000000
 
-    t0 = System.nanoTime()
-    val ctx = ConnCtx.build(sc, bcIdx, bcFlags, cfg.graphMethod, par)
-    val bcCtx = sc.broadcast(ctx)
-    val (comp, gStats) =
-      ClusterCore.run(sc, bcIdx, bcFlags, bcCtx, cfg.graphMethod, cfg.bucketing,
-        cfg.numBuckets, par)
-    // Densify component ids into cluster ids.
-    val compIds = comp.filter(_ >= 0).distinct.sorted
-    val compToCluster = compIds.zipWithIndex.toMap
-    val cellCluster = comp.map(c => if (c >= 0) compToCluster(c) else -1)
-    val bcCellCluster = sc.broadcast(cellCluster)
-    val coreMs = (System.nanoTime() - t0) / 1000000
+      t0 = System.nanoTime()
+      val bcCtx = share(ConnCtx.build(sc, bcIdx, bcFlags, cfg.graphMethod, par))
+      val (comp, gStats) =
+        ClusterCore.run(sc, bcIdx, bcFlags, bcCtx, cfg.graphMethod, cfg.bucketing,
+          cfg.numBuckets, par)
+      // Densify component ids into cluster ids.
+      val compIds = comp.filter(_ >= 0).distinct.sorted
+      val compToCluster = compIds.zipWithIndex.toMap
+      val cellCluster = comp.map(c => if (c >= 0) compToCluster(c) else -1)
+      val bcCellCluster = share(cellCluster)
+      val coreMs = (System.nanoTime() - t0) / 1000000
 
-    t0 = System.nanoTime()
-    val border = ClusterBorder.run(sc, bcIdx, bcFlags, bcCellCluster, cfg.minPts, par)
-    val borderMs = (System.nanoTime() - t0) / 1000000
+      t0 = System.nanoTime()
+      val border = ClusterBorder.run(sc, bcIdx, bcFlags, bcCellCluster, cfg.minPts, par)
+      val borderMs = (System.nanoTime() - t0) / 1000000
 
-    // Per-point cluster ids for core points.
-    val n = idx.n.toInt
-    val coreCluster = Array.fill(n)(-1)
-    var c = 0
-    while (c < idx.numCells) {
-      if (cellCluster(c) >= 0) {
-        val ps = idx.pts(c)
-        var i = 0
-        while (i < ps.length) {
-          if (flags(ps(i).id.toInt)) coreCluster(ps(i).id.toInt) = cellCluster(c)
-          i += 1
+      // Per-point cluster ids for core points.
+      val n = idx.n.toInt
+      val coreCluster = Array.fill(n)(-1)
+      var c = 0
+      while (c < idx.numCells) {
+        if (cellCluster(c) >= 0) {
+          val ps = idx.pts(c)
+          var i = 0
+          while (i < ps.length) {
+            if (flags(ps(i).id.toInt)) coreCluster(ps(i).id.toInt) = cellCluster(c)
+            i += 1
+          }
         }
+        c += 1
       }
-      c += 1
-    }
-    Seq(bcIdx, bcFlags, bcCtx, bcCellCluster).foreach(_.destroy())
-    bcQt.foreach(_.destroy())
-    DBSCANResult(n, flags, coreCluster, border, compIds.length,
-      RunStats(gridMs, markMs, coreMs, borderMs, gStats))
+      DBSCANResult(n, flags, coreCluster, border, compIds.length,
+        RunStats(gridMs, markMs, coreMs, borderMs, gStats))
+    } finally shared.foreach(_.destroy())
   }
 
   /** DataFrame convenience wrapper: clusters rows of `df` on the given

@@ -11,70 +11,56 @@ import repro.geometry.QuadTree
   * O(1) neighboring cells, either by scanning the neighbor's points
   * (`our-exact` / `our-approx`) or through a per-cell quadtree
   * (`our-exact-qt` / `our-approx-qt`), with an early exit once the count
-  * reaches minPts. The per-cell loop runs as a Spark map over cells.
+  * reaches minPts. The per-cell loop is one [[Par.perCell]] pass.
   */
 object MarkCore {
 
   /** Build one exact quadtree per cell (over all its points), distributed. */
   def buildCellQuadTrees(sc: SparkContext, bcIdx: Broadcast[CellIndex],
                          par: Int = 0): Array[QuadTree] = {
-    val m = bcIdx.value.numCells
-    val p = if (par > 0) par else sc.defaultParallelism
-    val built = sc
-      .parallelize(0 until m, Par.parts(m, p))
-      .map { c =>
-        val idx = bcIdx.value
-        (c, QuadTree.build(idx.pts(c), idx.qtLo(c), idx.cellSide))
-      }
-      .collect()
-    val out = new Array[QuadTree](m)
-    built.foreach { case (c, qt) => out(c) = qt }
-    out
+    Par.perCell(sc, 0 until bcIdx.value.numCells, par) { c =>
+      val idx = bcIdx.value
+      Some(QuadTree.build(idx.pts(c), idx.qtLo(c), idx.cellSide))
+    }
   }
 
   /** Returns the core flag for every point id in [0, n). */
   def run(sc: SparkContext, bcIdx: Broadcast[CellIndex], minPts: Int,
           bcQt: Option[Broadcast[Array[QuadTree]]], par: Int = 0): Array[Boolean] = {
-    val m = bcIdx.value.numCells
-    val n = bcIdx.value.n.toInt
-    val p = if (par > 0) par else sc.defaultParallelism
-    val coreIds = sc
-      .parallelize(0 until m, Par.parts(m, p))
-      .flatMap { c =>
-        val idx = bcIdx.value
-        val cell = idx.pts(c)
-        if (cell.length >= minPts) cell.iterator.map(_.id)
-        else {
-          val eps = idx.eps
-          val e2 = eps * eps
-          val nbs = idx.neighbors(c)
-          cell.iterator.flatMap { p =>
-            var count = cell.length // everything in the own cell is within ε
-            var i = 0
-            while (count < minPts && i < nbs.length) {
-              val h = nbs(i)
-              if (idx.minSqDistToCell(h, p.x) <= e2) {
-                bcQt match {
-                  case Some(qts) =>
-                    count += qts.value(h).rangeCount(p.x, eps)
-                  case None =>
-                    val hp = idx.pts(h)
-                    var j = 0
-                    while (count < minPts && j < hp.length) {
-                      if (Dist.leq(hp(j).x, p.x, eps)) count += 1
-                      j += 1
-                    }
-                }
+    val coreIds = Par.perCell(sc, 0 until bcIdx.value.numCells, par) { c =>
+      val idx = bcIdx.value
+      val cell = idx.pts(c)
+      if (cell.length >= minPts) cell.iterator.map(_.id.toInt)
+      else {
+        val eps = idx.eps
+        val e2 = eps * eps
+        val nbs = idx.neighbors(c)
+        cell.iterator.flatMap { p =>
+          var count = cell.length // everything in the own cell is within ε
+          var i = 0
+          while (count < minPts && i < nbs.length) {
+            val h = nbs(i)
+            if (idx.minSqDistToCell(h, p.x) <= e2) {
+              bcQt match {
+                case Some(qts) =>
+                  count += qts.value(h).rangeCount(p.x, eps)
+                case None =>
+                  val hp = idx.pts(h)
+                  var j = 0
+                  while (count < minPts && j < hp.length) {
+                    if (Dist.leq(hp(j).x, p.x, eps)) count += 1
+                    j += 1
+                  }
               }
-              i += 1
             }
-            if (count >= minPts) Iterator.single(p.id) else Iterator.empty
+            i += 1
           }
+          if (count >= minPts) Iterator.single(p.id.toInt) else Iterator.empty
         }
       }
-      .collect()
-    val flags = new Array[Boolean](n)
-    coreIds.foreach(id => flags(id.toInt) = true)
+    }
+    val flags = new Array[Boolean](bcIdx.value.n.toInt)
+    coreIds.foreach(flags(_) = true)
     flags
   }
 }

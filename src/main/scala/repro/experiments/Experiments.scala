@@ -84,8 +84,8 @@ object Experiments {
     "our-2d-box-bcp", "our-2d-box-usec", "our-2d-box-delaunay",
     "pdsdbscan", "hpdbscan")
 
-  private def config(method: String, eps: Double, minPts: Int, rho: Double,
-                     par: Int): Option[DBSCANConfig] = {
+  private[repro] def config(method: String, eps: Double, minPts: Int, rho: Double,
+                            par: Int): Option[DBSCANConfig] = {
     val base = method match {
       case "our-exact"              => Some(DBSCANConfig.exact(eps, minPts))
       case "our-exact-bucketing"    => Some(DBSCANConfig.exact(eps, minPts).copy(bucketing = true))

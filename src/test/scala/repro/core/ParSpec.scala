@@ -1,9 +1,11 @@
 package repro.core
 
-import org.scalatest.funsuite.AnyFunSuite
+import org.apache.spark.TaskContext
+import repro.SparkSpec
 
-/** Partition-count policy: serial runs must really be serial. */
-class ParSpec extends AnyFunSuite {
+/** Partition-count policy (serial runs must really be serial) and the
+  * per-cell Spark pass built on it. */
+class ParSpec extends SparkSpec {
 
   test("par=1 yields exactly one partition regardless of work") {
     assert(Par.parts(1000000, 1) === 1)
@@ -19,5 +21,26 @@ class ParSpec extends AnyFunSuite {
     assert(Par.parts(1000000, 16) === 64)
     assert(Par.parts(10, 16) === 10)
     assert(Par.parts(0, 16) === 1)
+  }
+
+  test("perCell returns every emitted result in input order") {
+    val cells = new scala.util.Random(7).shuffle((0 until 500).toVector)
+    val got = Par.perCell(spark.sparkContext, cells, par = 3)(c => Iterator(c, -c - 1))
+    assert(got.toSeq === cells.flatMap(c => Seq(c, -c - 1)))
+    assert(Par.perCell(spark.sparkContext, cells, par = 0)(c => Some(c * 2)).toSeq ===
+      cells.map(_ * 2))
+  }
+
+  test("perCell runs Par.parts(cells, par) partitions") {
+    val sc = spark.sparkContext
+    for ((n, par) <- Seq((500, 1), (500, 2), (500, 3), (7, 5), (500, 0))) {
+      val parts = Par.perCell(sc, 0 until n, par)(_ => Some(TaskContext.getPartitionId())).distinct
+      val p = if (par > 0) par else sc.defaultParallelism
+      assert(parts.length === Par.parts(n, p), s"n=$n par=$par")
+    }
+  }
+
+  test("perCell over no cells returns an empty array") {
+    assert(Par.perCell(spark.sparkContext, Seq.empty[Int], par = 4)(c => Some(c)).isEmpty)
   }
 }
