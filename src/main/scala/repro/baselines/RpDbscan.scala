@@ -34,7 +34,7 @@ object RpDbscan {
       .map(p => ((p.id * 0x9E3779B97F4A7C15L).abs % numParts.toLong, p))
       .partitionBy(new org.apache.spark.HashPartitioner(numParts))
       .mapPartitions { it =>
-        val local = scala.collection.mutable.HashMap[Vector[Int], (Int, scala.collection.mutable.ArrayBuffer[Pt])]()
+        val local = scala.collection.mutable.HashMap[Seq[Int], (Int, scala.collection.mutable.ArrayBuffer[Pt])]()
         it.foreach { case (_, p) =>
           val k = CellIndex.gridKey(p.x, side)
           val e = local.getOrElseUpdate(k, (0, scala.collection.mutable.ArrayBuffer[Pt]()))
@@ -53,8 +53,8 @@ object RpDbscan {
     val keys = merged.map(_._1)
     val infos = merged.map(_._2)
     val keyToId = keys.zipWithIndex.toMap
-    def cellLo(k: Vector[Int]): Array[Double] = k.map(_ * side).toArray
-    def cellHi(k: Vector[Int]): Array[Double] = k.map(i => (i + 1) * side).toArray
+    def cellLo(k: Seq[Int]): Array[Double] = k.map(_ * side).toArray
+    def cellHi(k: Seq[Int]): Array[Double] = k.map(i => (i + 1) * side).toArray
     val boxes = keys.map(k => BBox(cellLo(k), cellHi(k)))
 
     // Neighbor cells via a k-d tree over cell centers.

@@ -53,10 +53,10 @@ object ConnCtx {
     val coreHi = new Array[Array[Double]](m)
     var c = 0
     while (c < m) {
-      val cps = corePts(idx, flags, c)
+      val cps = (idx.start(c) until idx.start(c + 1)).filter(p => flags(idx.ids(p)))
       coreCount(c) = cps.length
       if (cps.nonEmpty) {
-        val bb = BBox.of(cps)
+        val bb = BBox.of(idx.coords, idx.d, cps)
         coreLo(c) = bb.lo; coreHi(c) = bb.hi
       }
       c += 1
@@ -118,13 +118,20 @@ object CellGraph {
       throw new IllegalArgumentException("Delaunay builds the whole graph at once")
   }
 
-  /** Core points of cell c that lie within ε of the other cell's core bbox —
-    * the paper's (Gan & Tao's) filtering optimization before the BCP scan. */
+  /** Positions of cell c's core points that lie within ε of the other cell's
+    * core bbox — the paper's (Gan & Tao's) filtering optimization before the
+    * BCP scan. */
   private def filteredCore(idx: CellIndex, ctx: ConnCtx, c: Int, other: Int,
-                           flags: Array[Boolean]): Array[Pt] = {
+                           flags: Array[Boolean]): Array[Int] = {
     val bb = BBox(ctx.coreLo(other), ctx.coreHi(other))
     val e2 = idx.eps * idx.eps
-    idx.pts(c).filter(p => flags(p.id.toInt) && bb.minSqDistTo(p.x) <= e2)
+    val out = new scala.collection.mutable.ArrayBuilder.ofInt
+    var p = idx.start(c)
+    while (p < idx.start(c + 1)) {
+      if (flags(idx.ids(p)) && bb.minSqDistTo(idx.coords, p * idx.d) <= e2) out += p
+      p += 1
+    }
+    out.result()
   }
 
   /** BCP with filtering + early termination. The paper splits one pair into
@@ -137,13 +144,12 @@ object CellGraph {
     if (a.isEmpty) return false
     val b = filteredCore(idx, ctx, h, g, flags)
     if (b.isEmpty) return false
-    val eps = idx.eps
+    val (d, xs, eps) = (idx.d, idx.coords, idx.eps)
     var i = 0
     while (i < a.length) {
       var j = 0
-      val pa = a(i).x
       while (j < b.length) {
-        if (Dist.leq(pa, b(j).x, eps)) return true
+        if (Dist.leq(xs, a(i) * d, xs, b(j) * d, d, eps)) return true
         j += 1
       }
       i += 1
@@ -159,12 +165,14 @@ object CellGraph {
     val (qSide, tSide) = if (ctx.coreCount(g) <= ctx.coreCount(h)) (g, h) else (h, g)
     val queries = filteredCore(idx, ctx, qSide, tSide, flags)
     val qt = ctx.coreQt(tSide)
-    val eps = idx.eps
+    val (d, eps) = (idx.d, idx.eps)
+    val q = new Array[Double](d)
     var i = 0
     while (i < queries.length) {
+      System.arraycopy(idx.coords, queries(i) * d, q, 0, d)
       val hit =
-        if (rho > 0) qt.approxExists(queries(i).x, eps, rho)
-        else qt.existsWithin(queries(i).x, eps)
+        if (rho > 0) qt.approxExists(q, eps, rho)
+        else qt.existsWithin(q, eps)
       if (hit) return true
       i += 1
     }

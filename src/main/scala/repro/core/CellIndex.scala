@@ -1,5 +1,7 @@
 package repro.core
 
+import scala.collection.immutable.ArraySeq
+import scala.collection.mutable
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
@@ -7,9 +9,15 @@ import repro.geometry.KDTree
 
 /** The cell structure shared by every algorithm variant (paper Alg. 1 line 2).
   *
-  * Holds, per non-empty cell: its key, its tight bounding box, its points,
-  * and the ids of *neighboring* cells — cells whose boxes are within ε, the
-  * only ones that can contain points within ε of this cell's points.
+  * Laid out as the paper's semisort leaves it: the points permuted into cell
+  * order, so cell c owns positions `[start(c), start(c+1))` of `ids` and of
+  * `coords` (d values per point). Per cell, d values each of `cellKeys`,
+  * `cellLo` and `cellHi` hold its integer key and tight bounding box, and
+  * `nbrs[nbrStart(c), nbrStart(c+1))` lists its *neighboring* cells — cells
+  * whose boxes are within ε, the only ones that can contain points within ε
+  * of this cell's points. The index stores per-cell counts and derives the
+  * two offset arrays once per JVM: counts compress to a third of the size of
+  * offsets under Spark's broadcast codec.
   *
   * Cells are disjoint with per-dimension extent ≤ ε/√d, so all points inside
   * one cell are within ε of each other — the invariant both MarkCore's
@@ -18,123 +26,82 @@ import repro.geometry.KDTree
   * The index is built distributed (cell assignment + grouping runs as a Spark
   * shuffle, playing the role of the paper's work-efficient semisort) and then
   * broadcast, emulating shared memory on the single-node cluster: per-cell
-  * tasks get random access to any neighboring cell's points.
+  * tasks get random access to any neighboring cell's points. It holds only
+  * scalars and primitive arrays, so Java serialization is already a compact
+  * broadcast format. The per-cell accessors slice on every call; hot loops
+  * read the flat arrays.
   */
 final class CellIndex(
     val eps: Double,
     val cellSide: Double,
     val d: Int,
-    val n: Long,
-    val keys: Array[Vector[Int]],
-    val tightLo: Array[Array[Double]],
-    val tightHi: Array[Array[Double]],
-    val pts: Array[Array[Pt]],
-    val neighbors: Array[Array[Int]],
+    val cellSizes: Array[Int],
+    val ids: Array[Int],
+    val coords: Array[Double],
+    val cellKeys: Array[Int],
+    val cellLo: Array[Double],
+    val cellHi: Array[Double],
+    val nbrCounts: Array[Int],
+    val nbrs: Array[Int],
 ) extends Serializable {
 
-  def numCells: Int = keys.length
-  def size(c: Int): Int = pts(c).length
-  def bbox(c: Int): BBox = BBox(tightLo(c), tightHi(c))
+  /** Offsets (m + 1 of each) into `ids`/`coords` and into `nbrs`. */
+  @transient lazy val start: Array[Int] = cellSizes.scanLeft(0)(_ + _)
+  @transient lazy val nbrStart: Array[Int] = nbrCounts.scanLeft(0)(_ + _)
 
-  /** Allocation-free squared distance from `x` to cell `c`'s tight box —
-    * the hot-path bbox prefilter in MarkCore / ClusterBorder. */
-  def minSqDistToCell(c: Int, x: Array[Double]): Double = {
-    val lo = tightLo(c); val hi = tightHi(c)
-    var s = 0.0; var j = 0
-    while (j < x.length) {
-      val v = x(j)
-      val t = if (v < lo(j)) lo(j) - v else if (v > hi(j)) v - hi(j) else 0.0
-      s += t * t; j += 1
-    }
-    s
-  }
+  def n: Long = ids.length
+  def numCells: Int = cellSizes.length
+  def size(c: Int): Int = cellSizes(c)
+  def keys(c: Int): Vector[Int] = cellKeys.slice(c * d, c * d + d).toVector
+  def tightLo(c: Int): Array[Double] = cellLo.slice(c * d, c * d + d)
+  def tightHi(c: Int): Array[Double] = cellHi.slice(c * d, c * d + d)
+  def bbox(c: Int): BBox = BBox(tightLo(c), tightHi(c))
 
   /** Root corner for the cell's quadtree (hypercube of side `cellSide`). */
   def qtLo(c: Int): Array[Double] = tightLo(c)
 
-  /** Serialize as flat primitive arrays — the index is broadcast once per
-    * run and Java-serializing millions of boxed Pt objects would dominate
-    * the runtime of every small benchmark. */
-  private def writeReplace(): AnyRef = {
-    val m = numCells
-    val sizes = Array.tabulate(m)(size)
-    val total = sizes.sum
-    val ids = new Array[Long](total)
-    val coords = new Array[Double](total * d)
-    val keysFlat = new Array[Int](m * d)
-    val loFlat = new Array[Double](m * d)
-    val hiFlat = new Array[Double](m * d)
-    var off = 0
-    var c = 0
-    while (c < m) {
-      val ps = pts(c)
-      var i = 0
-      while (i < ps.length) {
-        ids(off + i) = ps(i).id
-        System.arraycopy(ps(i).x, 0, coords, (off + i) * d, d)
-        i += 1
-      }
-      var j = 0
-      while (j < d) {
-        keysFlat(c * d + j) = keys(c)(j)
-        loFlat(c * d + j) = tightLo(c)(j)
-        hiFlat(c * d + j) = tightHi(c)(j)
-        j += 1
-      }
-      off += ps.length
-      c += 1
+  /** Every cell's neighbor list, sliced on access. */
+  def neighbors: collection.IndexedSeqView[Array[Int]] =
+    (0 until numCells).view.map(c => nbrs.slice(nbrStart(c), nbrStart(c + 1)))
+
+  /** Cell c's points as fresh `Pt`s, for the `Pt`-based per-cell structures. */
+  def pts(c: Int): Array[Pt] =
+    Array.tabulate(size(c)) { i => val p = start(c) + i; Pt(ids(p), coords.slice(p * d, p * d + d)) }
+
+  /** Allocation-free squared distance from `x` to cell `c`'s tight box. */
+  def minSqDistToCell(c: Int, x: Array[Double]): Double = minSqDistToCell(c, x, 0)
+
+  /** The same for the point at offset `off` of a flat coordinate array — the
+    * hot-path bbox prefilter in MarkCore / ClusterBorder. */
+  def minSqDistToCell(c: Int, xs: Array[Double], off: Int): Double = {
+    var s = 0.0; var j = 0
+    while (j < d) {
+      val v = xs(off + j); val lo = cellLo(c * d + j); val hi = cellHi(c * d + j)
+      val t = if (v < lo) lo - v else if (v > hi) v - hi else 0.0
+      s += t * t; j += 1
     }
-    val nbrSizes = Array.tabulate(m)(neighbors(_).length)
-    val nbrs = neighbors.flatten
-    CellIndex.Packed(eps, cellSide, d, n, sizes, keysFlat, ids, coords,
-      loFlat, hiFlat, nbrSizes, nbrs)
+    s
   }
 }
 
 object CellIndex {
 
-  /** Flat-array serialization proxy for [[CellIndex]] (see writeReplace). */
-  private[core] final case class Packed(
-      eps: Double, side: Double, d: Int, n: Long, sizes: Array[Int],
-      keysFlat: Array[Int], ids: Array[Long], coords: Array[Double],
-      loFlat: Array[Double], hiFlat: Array[Double],
-      nbrSizes: Array[Int], nbrs: Array[Int]) extends Serializable {
-    private def readResolve(): AnyRef = {
-      val m = sizes.length
-      val keys = Array.tabulate(m)(c => keysFlat.slice(c * d, c * d + d).toVector)
-      val lo = Array.tabulate(m)(c => loFlat.slice(c * d, c * d + d))
-      val hi = Array.tabulate(m)(c => hiFlat.slice(c * d, c * d + d))
-      val pts = new Array[Array[Pt]](m)
-      var off = 0
-      var c = 0
-      while (c < m) {
-        pts(c) = Array.tabulate(sizes(c)) { i =>
-          Pt(ids(off + i), java.util.Arrays.copyOfRange(coords, (off + i) * d, (off + i) * d + d))
-        }
-        off += sizes(c)
-        c += 1
-      }
-      val neighbors = new Array[Array[Int]](m)
-      var noff = 0
-      c = 0
-      while (c < m) {
-        neighbors(c) = java.util.Arrays.copyOfRange(nbrs, noff, noff + nbrSizes(c))
-        noff += nbrSizes(c)
-        c += 1
-      }
-      new CellIndex(eps, side, d, n, keys, lo, hi, pts, neighbors)
-    }
-  }
-
   /** Cell side length ε/√d (diagonal exactly ε). */
   def sideFor(eps: Double, d: Int): Double = eps / math.sqrt(d.toDouble)
 
-  /** Integer grid key of a point. */
-  def gridKey(x: Array[Double], side: Double): Vector[Int] = {
+  /** Integer grid key of a point. Throws when a coordinate lies 2^31 or more
+    * cells from the origin, where the key would not fit an Int. */
+  def gridKey(x: Array[Double], side: Double): ArraySeq[Int] = {
     val k = new Array[Int](x.length)
     var j = 0
-    while (j < x.length) { k(j) = math.floor(x(j) / side).toInt; j += 1 }
-    k.toVector
+    while (j < x.length) {
+      val q = x(j) / side
+      if (!(math.abs(q) < 2147483648.0)) throw new IllegalArgumentException(
+        s"coordinate ${x(j)} is out of the grid's Int range at cell side $side")
+      k(j) = math.floor(q).toInt
+      j += 1
+    }
+    ArraySeq.unsafeWrapArray(k)
   }
 
   /** Catalyst-facing cell assignment: adds a `cell` array<int> column. Used
@@ -160,7 +127,7 @@ object CellIndex {
     // Strip boundaries from the sorted x-coordinates (driver scan over one
     // primitive array — the O(n) sequential dependence the paper removes
     // with pointer jumping; at single-node scale this scan is negligible).
-    val xs = points.map(_.x(0)).collect()
+    val xs = points.map(p => checked(p, 2).x(0)).collect()
     java.util.Arrays.sort(xs)
     val bcStrips = sc.broadcast(boundaries(xs, side))
     try {
@@ -173,41 +140,100 @@ object CellIndex {
         .collect()
         .toMap
       val bcY = sc.broadcast(yBounds)
-      try build(points, eps, 2) { p => val s = strip(p); Vector(s, lastLeq(bcY.value(s), p.x(1))) }
+      try build(points, eps, 2) { p => val s = strip(p); ArraySeq(s, lastLeq(bcY.value(s), p.x(1))) }
       finally bcY.destroy()
     } finally bcStrips.destroy()
   }
 
-  /** Groups points into cells by `key` and finalizes the index; shared by
+  /** `p`, once it has an Int id and exactly `d` finite coordinates. */
+  private def checked(p: Pt, d: Int): Pt = {
+    val x = p.x
+    var ok = p.id.isValidInt && x.length == d
+    var j = 0
+    while (ok && j < d) { ok = java.lang.Double.isFinite(x(j)); j += 1 }
+    if (!ok) throw new IllegalArgumentException(
+      s"point ${p.id} needs an id in [0, n) and $d finite coordinates, has [${x.mkString(", ")}]")
+    p
+  }
+
+  /** Groups points into cells by `key` and lays the index out; shared by
     * both constructions.
     *
     * The paper's work-efficient semisort groups points by cell id without
     * ordering; the Spark analogue is a combiner-style shuffle: each partition
     * pre-groups its points into primitive-packed (ids, coords) arrays per
     * cell (PBBS's per-block histograms), then `reduceByKey` concatenates —
-    * only flat arrays cross the shuffle, never per-point objects. */
-  private def build(points: RDD[Pt], eps: Double, d: Int)(key: Pt => Vector[Int]): CellIndex = {
+    * only flat arrays cross the shuffle, never per-point objects. The driver
+    * concatenates the cells into the cell-ordered layout, then finds each
+    * cell's neighbors with a k-d tree over cell centers (paper §5.1 —
+    * enumeration is exponential in d, the tree finds only the non-empty
+    * neighbors). */
+  private def build(points: RDD[Pt], eps: Double, d: Int)(key: Pt => ArraySeq[Int]): CellIndex = {
     val grouped = points
       .mapPartitions { it =>
-        val local = scala.collection.mutable.HashMap[Vector[Int],
-          (scala.collection.mutable.ArrayBuilder.ofLong, scala.collection.mutable.ArrayBuilder.ofDouble)]()
+        val local = mutable.HashMap[ArraySeq[Int], (mutable.ArrayBuilder.ofInt, mutable.ArrayBuilder.ofDouble)]()
         it.foreach { p =>
-          val (ids, cs) = local.getOrElseUpdate(key(p),
-            (new scala.collection.mutable.ArrayBuilder.ofLong,
-             new scala.collection.mutable.ArrayBuilder.ofDouble))
-          ids += p.id
+          val (ids, cs) = local.getOrElseUpdate(key(checked(p, d)),
+            (new mutable.ArrayBuilder.ofInt, new mutable.ArrayBuilder.ofDouble))
+          ids += p.id.toInt
           cs ++= p.x
         }
         local.iterator.map { case (k, (ids, cs)) => (k, (ids.result(), cs.result())) }
       }
       .reduceByKey { (a, b) => (a._1 ++ b._1, a._2 ++ b._2) }
       .collect()
-    val cells = grouped.map { case (_, (ids, cs)) =>
-      Array.tabulate(ids.length) { i =>
-        Pt(ids(i), java.util.Arrays.copyOfRange(cs, i * d, i * d + d))
-      }
+    val m = grouped.length
+    val sizes = grouped.map(_._2._1.length)
+    val start = sizes.scanLeft(0)(_ + _)
+    val ids = new Array[Int](start(m))
+    val coords = new Array[Double](start(m) * d)
+    val keys = new Array[Int](m * d)
+    val lo = new Array[Double](m * d)
+    val hi = new Array[Double](m * d)
+    val centers = new Array[Pt](m)
+    var maxDiag = 0.0
+    for (c <- 0 until m) {
+      val (k, (is, cs)) = grouped(c)
+      k.copyToArray(keys, c * d)
+      System.arraycopy(is, 0, ids, start(c), is.length)
+      System.arraycopy(cs, 0, coords, start(c) * d, cs.length)
+      val bb = BBox.of(cs, d, is.indices)
+      System.arraycopy(bb.lo, 0, lo, c * d, d)
+      System.arraycopy(bb.hi, 0, hi, c * d, d)
+      centers(c) = Pt(c, bb.center)
+      maxDiag = math.max(maxDiag, math.sqrt(Dist.sq(bb.lo, bb.hi)))
     }
-    finalize(cells, grouped.map(_._1), eps, sideFor(eps, d), d, points.sparkContext)
+    requireDense(ids)
+    val side = sideFor(eps, d)
+    if (m == 0) return new CellIndex(eps, side, d, sizes, ids, coords, keys, lo, hi, Array.empty, Array.empty)
+    // Neighbor lookup: centers within eps + maxDiag cover every cell pair
+    // with bbox distance ≤ eps; exact-filter afterwards. The per-cell queries
+    // are embarrassingly parallel (sequential on the driver they are the
+    // bottleneck on datasets where every noise point is its own cell).
+    val e2 = eps * eps
+    val r = eps + maxDiag
+    val bc = points.sparkContext.broadcast((KDTree.build(centers), lo, hi))
+    val lists = try Par.perCell(points.sparkContext, 0 until m, par = 0) { i =>
+      val (tr, loA, hiA) = bc.value
+      def box(j: Int) = BBox(loA.slice(j * d, j * d + d), hiA.slice(j * d, j * d + d))
+      val bb = box(i)
+      Some(tr.within(bb.center, r).map(_.id.toInt).filter(j => j != i && bb.minSqDist(box(j)) <= e2).sorted)
+    } finally bc.destroy()
+    new CellIndex(eps, side, d, sizes, ids, coords, keys, lo, hi, lists.map(_.length), lists.flatten)
+  }
+
+  /** Every per-point array is indexed by id, so ids must be `[0, n)`, each
+    * once. */
+  private def requireDense(ids: Array[Int]): Unit = {
+    val seen = new java.util.BitSet(ids.length)
+    var i = 0
+    while (i < ids.length) {
+      val id = ids(i)
+      if (id < 0 || id >= ids.length || seen.get(id)) throw new IllegalArgumentException(
+        s"point id $id: ids must be dense in [0, ${ids.length}) and unique")
+      seen.set(id)
+      i += 1
+    }
   }
 
   /** Starts of consecutive intervals of width `side` over sorted values. */
@@ -229,45 +255,5 @@ object CellIndex {
       if (bounds(mid) <= v) lo = mid else hi = mid - 1
     }
     lo
-  }
-
-  /** Shared tail: ids, tight bboxes, neighbor lists via a k-d tree over cell
-    * centers (paper §5.1 — enumeration is exponential in d, the tree finds
-    * only the non-empty neighbors). */
-  private def finalize(cells: Array[Array[Pt]], keys: Array[Vector[Int]],
-                       eps: Double, side: Double, d: Int,
-                       sc: org.apache.spark.SparkContext): CellIndex = {
-    val m = cells.length
-    if (m == 0)
-      return new CellIndex(eps, side, d, 0L, keys, Array.empty, Array.empty, cells, Array.empty)
-    val lo = new Array[Array[Double]](m)
-    val hi = new Array[Array[Double]](m)
-    var maxDiag = 0.0
-    var c = 0
-    var n = 0L
-    while (c < m) {
-      val bb = BBox.of(cells(c))
-      lo(c) = bb.lo; hi(c) = bb.hi
-      maxDiag = math.max(maxDiag, math.sqrt(Dist.sq(bb.lo, bb.hi)))
-      n += cells(c).length
-      c += 1
-    }
-    // Neighbor lookup: centers within eps + maxDiag cover every cell pair
-    // with bbox distance ≤ eps; exact-filter afterwards. The per-cell queries
-    // are embarrassingly parallel (sequential on the driver they are the
-    // bottleneck on datasets where every noise point is its own cell).
-    val tree = KDTree.build(Array.tabulate(m)(i => Pt(i, BBox(lo(i), hi(i)).center)))
-    val e2 = eps * eps
-    val r = eps + maxDiag
-    val bc = sc.broadcast((tree, lo, hi))
-    val neighbors = try Par.perCell(sc, 0 until m, par = 0) { i =>
-      val (tr, loA, hiA) = bc.value
-      val bb = BBox(loA(i), hiA(i))
-      Some(tr.within(bb.center, r)
-        .map(_.id.toInt)
-        .filter(j => j != i && bb.minSqDist(BBox(loA(j), hiA(j))) <= e2)
-        .sorted)
-    } finally bc.destroy()
-    new CellIndex(eps, side, d, n, keys, lo, hi, cells, neighbors)
   }
 }

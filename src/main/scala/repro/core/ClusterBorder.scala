@@ -22,7 +22,7 @@ object ClusterBorder {
     val idx = bcIdx.value
     val flags = bcFlags.value
     val smallCells = (0 until idx.numCells).filter { c =>
-      idx.pts(c).exists(p => !flags(p.id.toInt))
+      (idx.start(c) until idx.start(c + 1)).exists(p => !flags(idx.ids(p)))
     }
     val assigned = Par.perCell(sc, smallCells, par) { g =>
       val i = bcIdx.value
@@ -30,27 +30,27 @@ object ClusterBorder {
       val comp = bcComp.value
       val eps = i.eps
       val e2 = eps * eps
+      val (d, xs) = (i.d, i.coords)
       val cells = g +: i.neighbors(g).toSeq
-      i.pts(g).iterator.filter(p => !fl(p.id.toInt)).flatMap { p =>
+      Iterator.range(i.start(g), i.start(g + 1)).filter(p => !fl(i.ids(p))).flatMap { p =>
         val comps = scala.collection.mutable.SortedSet[Int]()
         for (h <- cells if comp(h) >= 0 && !comps.contains(comp(h))) {
           if (h == g) {
             // Everything in the own cell is within ε: any core point in g
             // puts p in g's cluster without a distance check.
             comps += comp(g)
-          } else if (i.minSqDistToCell(h, p.x) <= e2) {
-            val hp = i.pts(h)
-            var j = 0
+          } else if (i.minSqDistToCell(h, xs, p * d) <= e2) {
+            var j = i.start(h)
             var hit = false
-            while (!hit && j < hp.length) {
-              if (fl(hp(j).id.toInt) && Dist.leq(hp(j).x, p.x, eps)) hit = true
+            while (!hit && j < i.start(h + 1)) {
+              if (fl(i.ids(j)) && Dist.leq(xs, j * d, xs, p * d, d, eps)) hit = true
               j += 1
             }
             if (hit) comps += comp(h)
           }
         }
         // One array per border point: its id, then its cluster ids.
-        if (comps.nonEmpty) Iterator.single(p.id.toInt +: comps.toArray) else Iterator.empty
+        if (comps.nonEmpty) Iterator.single(i.ids(p) +: comps.toArray) else Iterator.empty
       }
     }
     val out = Array.fill(idx.n.toInt)(Array.empty[Int])

@@ -111,21 +111,12 @@ object ClusterCore {
     require(idx.d == 2, "Delaunay cell graph is 2D-only")
     val flags = bcFlags.value
     val m = idx.numCells
-    // Gather core points with their cell ids.
-    val corePts = new scala.collection.mutable.ArrayBuffer[(Double, Double, Int)]()
-    var c = 0
-    while (c < m) {
-      val ps = idx.pts(c)
-      var i = 0
-      while (i < ps.length) {
-        if (flags(ps(i).id.toInt)) corePts += ((ps(i).x(0), ps(i).x(1), c))
-        i += 1
-      }
-      c += 1
-    }
-    val px = corePts.map(_._1).toArray
-    val py = corePts.map(_._2).toArray
-    val cellOf = corePts.map(_._3).toArray
+    // Gather core points (positions in cell order) with their cell ids.
+    val (corePos, cellOf) =
+      (for (c <- 0 until m; p <- idx.start(c) until idx.start(c + 1) if flags(idx.ids(p))) yield (p, c))
+        .toArray.unzip
+    val px = corePos.map(p => idx.coords(2 * p))
+    val py = corePos.map(p => idx.coords(2 * p + 1))
     val uf = new UnionFind(m)
     var edgeCount = 0L
     var dtEdges = 0L

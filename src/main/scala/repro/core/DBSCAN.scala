@@ -19,6 +19,9 @@ final case class DBSCANConfig(
     numBuckets: Int = DBSCANConfig.DefaultBuckets,
     parallelism: Int = 0, // 0 = sc.defaultParallelism; the "thread count" knob
 ) {
+  require(eps > 0 && !eps.isInfinite, s"eps must be finite and > 0, got $eps")
+  require(minPts >= 1, s"minPts must be >= 1, got $minPts")
+
   /** Paper-style name of this variant, e.g. "our-exact-qt-bucketing". */
   def name: String = {
     val cells = cellMethod match { case GridCells => "grid"; case BoxCells => "box" }
@@ -156,11 +159,10 @@ object DBSCAN {
       var c = 0
       while (c < idx.numCells) {
         if (cellCluster(c) >= 0) {
-          val ps = idx.pts(c)
-          var i = 0
-          while (i < ps.length) {
-            if (flags(ps(i).id.toInt)) coreCluster(ps(i).id.toInt) = cellCluster(c)
-            i += 1
+          var p = idx.start(c)
+          while (p < idx.start(c + 1)) {
+            if (flags(idx.ids(p))) coreCluster(idx.ids(p)) = cellCluster(c)
+            p += 1
           }
         }
         c += 1

@@ -29,34 +29,34 @@ object MarkCore {
           bcQt: Option[Broadcast[Array[QuadTree]]], par: Int = 0): Array[Boolean] = {
     val coreIds = Par.perCell(sc, 0 until bcIdx.value.numCells, par) { c =>
       val idx = bcIdx.value
-      val cell = idx.pts(c)
-      if (cell.length >= minPts) cell.iterator.map(_.id.toInt)
+      val (s, e) = (idx.start(c), idx.start(c + 1))
+      if (e - s >= minPts) Iterator.range(s, e).map(idx.ids(_))
       else {
         val eps = idx.eps
         val e2 = eps * eps
+        val (d, xs) = (idx.d, idx.coords)
         val nbs = idx.neighbors(c)
-        cell.iterator.flatMap { p =>
-          var count = cell.length // everything in the own cell is within ε
+        Iterator.range(s, e).filter { p =>
+          var count = e - s // everything in the own cell is within ε
           var i = 0
           while (count < minPts && i < nbs.length) {
             val h = nbs(i)
-            if (idx.minSqDistToCell(h, p.x) <= e2) {
+            if (idx.minSqDistToCell(h, xs, p * d) <= e2) {
               bcQt match {
                 case Some(qts) =>
-                  count += qts.value(h).rangeCount(p.x, eps)
+                  count += qts.value(h).rangeCount(xs.slice(p * d, p * d + d), eps)
                 case None =>
-                  val hp = idx.pts(h)
-                  var j = 0
-                  while (count < minPts && j < hp.length) {
-                    if (Dist.leq(hp(j).x, p.x, eps)) count += 1
+                  var j = idx.start(h)
+                  while (count < minPts && j < idx.start(h + 1)) {
+                    if (Dist.leq(xs, j * d, xs, p * d, d, eps)) count += 1
                     j += 1
                   }
               }
             }
             i += 1
           }
-          if (count >= minPts) Iterator.single(p.id.toInt) else Iterator.empty
-        }
+          count >= minPts
+        }.map(idx.ids(_))
       }
     }
     val flags = new Array[Boolean](bcIdx.value.n.toInt)

@@ -4,7 +4,8 @@ package repro.core
   *
   * Ids must be dense in `[0, n)` for a dataset of n points — every stage of
   * the pipeline (core flags, cluster labels, border sets) indexes plain
-  * arrays by point id, mirroring the paper's shared-memory layout.
+  * arrays by point id, mirroring the paper's shared-memory layout. Cell
+  * construction rejects any other id set.
   */
 final case class Pt(id: Long, x: Array[Double]) extends Serializable {
   /** Dimensionality of the point. */
@@ -25,13 +26,17 @@ object Dist {
   def apply(a: Array[Double], b: Array[Double]): Double = math.sqrt(sq(a, b))
 
   /** `d(a,b) <= eps` with an early exit once the partial sum exceeds eps^2. */
-  def leq(a: Array[Double], b: Array[Double], eps: Double): Boolean = {
+  def leq(a: Array[Double], b: Array[Double], eps: Double): Boolean = leq(a, 0, b, 0, a.length, eps)
+
+  /** `leq` on the d coordinates at offset `i` of `a` and offset `j` of `b` —
+    * points in flat coordinate arrays, compared in place. */
+  def leq(a: Array[Double], i: Int, b: Array[Double], j: Int, d: Int, eps: Double): Boolean = {
     val e2 = eps * eps
-    var s = 0.0; var i = 0
-    while (i < a.length) {
-      val t = a(i) - b(i); s += t * t
+    var s = 0.0; var k = 0
+    while (k < d) {
+      val t = a(i + k) - b(j + k); s += t * t
       if (s > e2) return false
-      i += 1
+      k += 1
     }
     true
   }
@@ -42,10 +47,13 @@ final case class BBox(lo: Array[Double], hi: Array[Double]) extends Serializable
   def d: Int = lo.length
 
   /** Squared distance from `p` to the nearest point of the box (0 if inside). */
-  def minSqDistTo(p: Array[Double]): Double = {
+  def minSqDistTo(p: Array[Double]): Double = minSqDistTo(p, 0)
+
+  /** The same for the point at offset `off` of a flat coordinate array. */
+  def minSqDistTo(xs: Array[Double], off: Int): Double = {
     var s = 0.0; var i = 0
-    while (i < p.length) {
-      val v = p(i)
+    while (i < lo.length) {
+      val v = xs(off + i)
       val t = if (v < lo(i)) lo(i) - v else if (v > hi(i)) v - hi(i) else 0.0
       s += t * t; i += 1
     }
@@ -98,6 +106,23 @@ object BBox {
         j += 1
       }
       i += 1
+    }
+    BBox(lo, hi)
+  }
+
+  /** Tight bounding box of the points at positions `pos` (non-empty) of a
+    * flat coordinate array with `d` values per point. */
+  def of(coords: Array[Double], d: Int, pos: Iterable[Int]): BBox = {
+    val lo = Array.fill(d)(Double.PositiveInfinity)
+    val hi = Array.fill(d)(Double.NegativeInfinity)
+    pos.foreach { p =>
+      var j = 0
+      while (j < d) {
+        val v = coords(p * d + j)
+        if (v < lo(j)) lo(j) = v
+        if (v > hi(j)) hi(j) = v
+        j += 1
+      }
     }
     BBox(lo, hi)
   }

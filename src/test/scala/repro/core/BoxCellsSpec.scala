@@ -15,7 +15,7 @@ class BoxCellsSpec extends SparkSpec {
     val idx = CellIndex.box2d(spark.sparkContext.parallelize(pts.toSeq, 4), eps)
     val side = CellIndex.sideFor(eps, 2)
 
-    val allIds = idx.pts.flatten.map(_.id).sorted
+    val allIds = (0 until idx.numCells).flatMap(idx.pts).map(_.id).sorted
     assert(allIds.toSeq === (0L until n.toLong))
 
     for (c <- 0 until idx.numCells; j <- 0 until 2)

@@ -28,9 +28,16 @@ class GridSpec extends SparkSpec {
     val side = CellIndex.sideFor(eps, d)
 
     // Every point lands in exactly one cell; ids partition [0, n).
-    val allIds = idx.pts.flatten.map(_.id).sorted
+    val allIds = (0 until idx.numCells).flatMap(idx.pts).map(_.id).sorted
     assert(allIds.toSeq === (0L until 500L))
     assert(idx.n === 500)
+
+    // Cell-ordered layout: cell c owns positions [start(c), start(c+1)), and
+    // the positions hold every id once.
+    assert(idx.start(0) === 0)
+    assert((0 until idx.numCells).forall(c => idx.start(c) <= idx.start(c + 1)))
+    assert(idx.start(idx.numCells) === idx.n)
+    assert(idx.ids.sorted.toSeq === (0 until 500))
 
     // Cell extent per dimension is < side, so the diagonal is <= eps:
     // any two points of a cell are within eps of each other.
@@ -58,8 +65,8 @@ class GridSpec extends SparkSpec {
       Pt(0, Array(0.0, 0.0)), Pt(1, Array(1.0, 0.0)), Pt(2, Array(1.0 - 1e-12, 0.0)),
       Pt(3, Array(-1.0, -1.0)), Pt(4, Array(-0.5, 2.0)))
     val idx = CellIndex.grid(spark.sparkContext.parallelize(pts.toSeq, 2), eps, 2)
-    val keyOf = idx.keys.zipWithIndex.toMap
-    def cellOf(p: Pt): Vector[Int] = idx.keys(idx.pts.indexWhere(_.exists(_.id == p.id)))
+    val keyOf = (0 until idx.numCells).map(idx.keys).zipWithIndex.toMap
+    def cellOf(p: Pt): Vector[Int] = idx.keys((0 until idx.numCells).indexWhere(idx.pts(_).exists(_.id == p.id)))
     assert(cellOf(pts(0)) === Vector(0, 0))
     assert(cellOf(pts(1)) === Vector(1, 0))
     assert(cellOf(pts(2)) === Vector(0, 0))

@@ -1,0 +1,64 @@
+package repro.core
+
+import repro.{SparkSpec, TestUtil}
+
+/** Input the pipeline cannot cluster correctly must be rejected up front with
+  * a message naming the offending point or parameter, never clustered wrongly
+  * or crashed deep inside a phase. */
+class InputContractSpec extends SparkSpec {
+
+  private def run(pts: Seq[Pt], d: Int): DBSCANResult =
+    DBSCAN.run(spark, spark.sparkContext.parallelize(pts, 2), d, DBSCANConfig.exact(2.0, 3))
+
+  /** Messages of `e` and its causes: a check that fails inside a Spark task
+    * reaches the driver wrapped in a `SparkException`. */
+  private def messages(e: Throwable): String =
+    Iterator.iterate(e)(_.getCause).takeWhile(_ != null).map(_.getMessage).mkString(" | ")
+
+  private def withPoint7(x: Array[Double]): Seq[Pt] =
+    TestUtil.uniformPts(20, 2, 10.0, 3L).toSeq.map(p => if (p.id == 7) Pt(7, x) else p)
+
+  test("a point with a NaN or infinite coordinate is rejected by id") {
+    for (bad <- Seq(Double.NaN, Double.PositiveInfinity)) {
+      val e = intercept[Exception](run(withPoint7(Array(1.0, bad)), 2))
+      assert(messages(e).contains("point 7 "), messages(e))
+    }
+  }
+
+  test("a point whose coordinate count is not d is rejected by id") {
+    for (x <- Seq(Array(1.0, 2.0, 3.0), Array(1.0))) {
+      val e = intercept[Exception](run(withPoint7(x), 2))
+      assert(messages(e).contains("point 7 "), messages(e))
+    }
+  }
+
+  test("coordinates beyond the Int range of grid cells are rejected, not merged into one cell") {
+    // Cell keys used to saturate at Int.MaxValue: both groups landed in one
+    // cell and became 6 core points of 1 cluster (the correct answer is 0, 0).
+    val pts = Seq(2e9, 2e9, 2e9, 3e9, 3e9, 3e9).zipWithIndex.map { case (x, i) => Pt(i, Array(x)) }
+    val e = intercept[Exception](
+      DBSCAN.run(spark, spark.sparkContext.parallelize(pts, 2), 1, DBSCANConfig.exact(1.0, 4)))
+    assert(messages(e).contains("out of the grid's Int range"), messages(e))
+  }
+
+  test("ids that are not dense in [0, n) are rejected naming the first bad id") {
+    val pts = Seq(0L, 1L, 5L).map(i => Pt(i, Array(i.toDouble, 0.0)))
+    val e = intercept[IllegalArgumentException](run(pts, 2))
+    assert(e.getMessage.contains("point id 5"))
+  }
+
+  test("duplicate ids are rejected naming the repeated id") {
+    val pts = Seq(0L, 1L, 1L).map(i => Pt(i, Array(i.toDouble, 0.0)))
+    val e = intercept[IllegalArgumentException](run(pts, 2))
+    assert(e.getMessage.contains("point id 1"))
+  }
+
+  test("eps must be finite and positive") {
+    for (eps <- Seq(0.0, -1.0, Double.NaN, Double.PositiveInfinity))
+      intercept[IllegalArgumentException](DBSCANConfig(eps, 5))
+  }
+
+  test("minPts must be at least 1") {
+    intercept[IllegalArgumentException](DBSCANConfig(1.0, 0))
+  }
+}
