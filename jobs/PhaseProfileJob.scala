@@ -1,6 +1,6 @@
 package repro.jobs
 
-import repro.core.DBSCAN
+import repro.core.{DBSCAN, DBSCANConfig}
 import repro.experiments.Experiments
 
 /** Prints per-phase timings (grid / markCore / clusterCore / clusterBorder)
@@ -18,7 +18,7 @@ object PhaseProfileJob {
       val eps = if (args.length > 2) args(2).toDouble else ds.defaultEps
       val w = ds.make(spark)
       for (m <- Seq("our-exact", "our-exact-bucketing", "our-exact-qt")) {
-        val cfg = Experiments.config(m, eps, ds.minPts, rho = 0.01, par = 0).get
+        val cfg = DBSCANConfig.named(m, eps, ds.minPts, rho = 0.01).get
         val res = DBSCAN.run(spark, w.rdd, ds.d, cfg)
         val s = res.stats
         println(f"$name eps=$eps $m%-22s total=${s.totalMs}%6dms grid=${s.gridMs}%6d " +

@@ -78,10 +78,8 @@ object ConnCtx {
         }
         byCell(Par.perCell(sc, coreCells, par) { c =>
           val i = bcIdx.value
-          val cps = corePts(i, bcFlags.value, c)
-          Some(
-            if (minSide > 0) QuadTree.buildApprox(cps, i.qtLo(c), i.cellSide, minSide)
-            else QuadTree.build(cps, i.qtLo(c), i.cellSide))
+          val cps = Array.range(i.start(c), i.start(c + 1)).filter(p => bcFlags.value(i.ids(p)))
+          Some(QuadTree.over(i.coords, i.d, cps, i.qtLo(c), i.cellSide, minSide))
         })
       case _ => null
     }
@@ -90,7 +88,7 @@ object ConnCtx {
       case UsecGraph =>
         require(idx.d == 2, "USEC cell graph is 2D-only")
         val sorted = Par.perCell(sc, coreCells, par) { c =>
-          val cps = corePts(bcIdx.value, bcFlags.value, c)
+          val cps = bcIdx.value.pts(c).filter(p => bcFlags.value(p.id.toInt))
           Some((cps.sortBy(_.x(0)), cps.sortBy(_.x(1))))
         }
         (byCell(sorted.map(_._1)), byCell(sorted.map(_._2)))
@@ -99,9 +97,6 @@ object ConnCtx {
 
     new ConnCtx(coreCount, coreLo, coreHi, qts, s0, s1)
   }
-
-  private def corePts(idx: CellIndex, flags: Array[Boolean], c: Int): Array[Pt] =
-    idx.pts(c).filter(p => flags(p.id.toInt))
 }
 
 /** The per-pair connectivity queries of ClusterCore (paper §4.4, §5.2). */
@@ -111,8 +106,7 @@ object CellGraph {
   def connected(idx: CellIndex, ctx: ConnCtx, method: GraphMethod, g: Int, h: Int,
                 flags: Array[Boolean]): Boolean = method match {
     case BcpGraph       => bcpConnected(idx, ctx, g, h, flags)
-    case QtGraph        => qtConnected(idx, ctx, g, h, flags, rho = 0.0)
-    case ApproxGraph(r) => qtConnected(idx, ctx, g, h, flags, rho = r)
+    case QtGraph | ApproxGraph(_) => qtConnected(idx, ctx, g, h, flags)
     case UsecGraph      => usecConnected(idx, ctx, g, h)
     case DelaunayGraph  =>
       throw new IllegalArgumentException("Delaunay builds the whole graph at once")
@@ -159,21 +153,16 @@ object CellGraph {
 
   /** Connectivity via (approximate) RangeCount on the target's core quadtree:
     * connected iff some core point of one cell has a non-zero (approximate)
-    * count in the other (paper §5.2). Queries from the smaller cell. */
+    * count in the other (paper §5.2). The tree's `minSide` makes the count
+    * exact or ρ-approximate. Queries from the smaller cell. */
   def qtConnected(idx: CellIndex, ctx: ConnCtx, g: Int, h: Int,
-                  flags: Array[Boolean], rho: Double): Boolean = {
+                  flags: Array[Boolean]): Boolean = {
     val (qSide, tSide) = if (ctx.coreCount(g) <= ctx.coreCount(h)) (g, h) else (h, g)
     val queries = filteredCore(idx, ctx, qSide, tSide, flags)
     val qt = ctx.coreQt(tSide)
-    val (d, eps) = (idx.d, idx.eps)
-    val q = new Array[Double](d)
     var i = 0
     while (i < queries.length) {
-      System.arraycopy(idx.coords, queries(i) * d, q, 0, d)
-      val hit =
-        if (rho > 0) qt.approxExists(q, eps, rho)
-        else qt.existsWithin(q, eps)
-      if (hit) return true
+      if (qt.count(idx.coords, queries(i) * idx.d, idx.eps, 1) > 0) return true
       i += 1
     }
     false

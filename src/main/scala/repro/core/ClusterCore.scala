@@ -37,7 +37,7 @@ object ClusterCore {
     val m = idx.numCells
     val p = Par.threads(sc, par)
     method match {
-      case DelaunayGraph => runDelaunay(sc, bcIdx, bcFlags, ctx, p)
+      case DelaunayGraph => runDelaunay(idx, bcFlags.value, ctx)
       case _ =>
         // Rank core cells by core count, descending (paper's SortBySize).
         val coreCells = (0 until m).filter(ctx.coreCount(_) > 0).toArray
@@ -102,14 +102,12 @@ object ClusterCore {
   }
 
   /** Delaunay-triangulation cell graph (2D): triangulate all core points on
-    * the driver, then filter edges (length ≤ ε, endpoints in different
-    * cells) in parallel — each surviving edge links two cells. */
-  private def runDelaunay(sc: SparkContext, bcIdx: Broadcast[CellIndex],
-                          bcFlags: Broadcast[Array[Boolean]],
-                          ctx: ConnCtx, par: Int): (Array[Int], GraphStats) = {
-    val idx = bcIdx.value
+    * the driver, then keep the edges of length ≤ ε whose endpoints lie in
+    * different cells — each links two cells. Filtering is O(edges) arithmetic,
+    * so it runs on the driver too. */
+  private def runDelaunay(idx: CellIndex, flags: Array[Boolean],
+                          ctx: ConnCtx): (Array[Int], GraphStats) = {
     require(idx.d == 2, "Delaunay cell graph is 2D-only")
-    val flags = bcFlags.value
     val m = idx.numCells
     // Gather core points (positions in cell order) with their cell ids.
     val (corePos, cellOf) =
@@ -118,25 +116,18 @@ object ClusterCore {
     val px = corePos.map(p => idx.coords(2 * p))
     val py = corePos.map(p => idx.coords(2 * p + 1))
     val uf = new UnionFind(m)
-    var edgeCount = 0L
-    var dtEdges = 0L
-    if (px.length >= 2) {
-      val dt = new Delaunay(px, py).edges()
-      dtEdges = dt.length
-      val eps2 = idx.eps * idx.eps
-      val bcPx = sc.broadcast(px); val bcPy = sc.broadcast(py); val bcCell = sc.broadcast(cellOf)
-      val parts = Par.parts(dt.length / 4096 + 1, par)
-      val hits = try sc.parallelize(dt.toSeq, parts).flatMap { case (a, b) =>
-        val xs = bcPx.value; val ys = bcPy.value; val cl = bcCell.value
-        val dx = xs(a) - xs(b); val dy = ys(a) - ys(b)
-        if (cl(a) != cl(b) && dx * dx + dy * dy <= eps2) Iterator.single((cl(a), cl(b)))
-        else Iterator.empty
-      }.distinct().collect() finally Seq(bcPx, bcPy, bcCell).foreach(_.destroy())
-      edgeCount = hits.length
-      hits.foreach { case (g, h) => uf.union(g, h) }
+    val dt = new Delaunay(px, py).edges()
+    val eps2 = idx.eps * idx.eps
+    val linked = scala.collection.mutable.HashSet[(Int, Int)]() // distinct ordered cell pairs
+    dt.foreach { case (a, b) =>
+      val dx = px(a) - px(b); val dy = py(a) - py(b)
+      if (cellOf(a) != cellOf(b) && dx * dx + dy * dy <= eps2) {
+        linked += ((cellOf(a), cellOf(b)))
+        uf.union(cellOf(a), cellOf(b))
+      }
     }
     val comp = Array.tabulate(m)(c => if (ctx.coreCount(c) > 0) uf.find(c) else -1)
     val numCoreCells = (0 until m).count(ctx.coreCount(_) > 0)
-    (comp, GraphStats(m, numCoreCells, dtEdges, dtEdges, edgeCount))
+    (comp, GraphStats(m, numCoreCells, dt.length, dt.length, linked.size))
   }
 }

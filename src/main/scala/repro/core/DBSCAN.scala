@@ -16,28 +16,21 @@ final case class DBSCANConfig(
     coreMethod: CoreMethod = ScanCore,
     graphMethod: GraphMethod = BcpGraph,
     bucketing: Boolean = false,
-    numBuckets: Int = DBSCANConfig.DefaultBuckets,
     parallelism: Int = 0, // 0 = sc.defaultParallelism; the "thread count" knob
 ) {
   require(eps > 0 && !eps.isInfinite, s"eps must be finite and > 0, got $eps")
   require(minPts >= 1, s"minPts must be >= 1, got $minPts")
 
-  /** Paper-style name of this variant, e.g. "our-exact-qt-bucketing". */
+  /** Bucket count of the bucketing optimization; one value is in use. */
+  def numBuckets: Int = DBSCANConfig.DefaultBuckets
+
+  /** Paper-style name of this variant, e.g. "our-exact-qt-bucketing": the
+    * first registered name whose config equals this one up to parallelism. */
   def name: String = {
-    val cells = cellMethod match { case GridCells => "grid"; case BoxCells => "box" }
-    val base = graphMethod match {
-      case BcpGraph                          => if (coreMethod == QtCore) "exact-qt" else "exact"
-      case QtGraph                           => if (coreMethod == QtCore) "exact-qt" else "exact-qtgraph"
-      case ApproxGraph(_)                    => if (coreMethod == QtCore) "approx-qt" else "approx"
-      case UsecGraph                         => s"2d-$cells-usec"
-      case DelaunayGraph                     => s"2d-$cells-delaunay"
-    }
-    val pre = graphMethod match {
-      case UsecGraph | DelaunayGraph => s"our-$base"
-      case BcpGraph if cellMethod == BoxCells => s"our-2d-box-bcp"
-      case _ => s"our-$base"
-    }
-    if (bucketing) s"$pre-bucketing" else pre
+    val rho = graphMethod match { case ApproxGraph(r) => r; case _ => 0.0 }
+    val self = copy(parallelism = 0)
+    DBSCANConfig.variants.collectFirst { case (n, f) if f(eps, minPts, rho) == self => n }
+      .getOrElse(toString)
   }
 }
 
@@ -56,6 +49,28 @@ object DBSCANConfig {
   /** our-approx-qt: quadtree MarkCore + approximate quadtree cell graph. */
   def approxQt(eps: Double, minPts: Int, rho: Double = 0.01): DBSCANConfig =
     DBSCANConfig(eps, minPts, coreMethod = QtCore, graphMethod = ApproxGraph(rho))
+
+  /** Every named variant of the paper (§7.1 and §7.3), as a function of
+    * (ε, minPts, ρ), in the order `name` searches them. */
+  private[repro] val variants: Seq[(String, (Double, Int, Double) => DBSCANConfig)] = Seq(
+    "our-exact"              -> ((e, m, _) => exact(e, m)),
+    "our-exact-bucketing"    -> ((e, m, _) => exact(e, m).copy(bucketing = true)),
+    "our-exact-qt"           -> ((e, m, _) => exactQt(e, m)),
+    "our-exact-qt-bucketing" -> ((e, m, _) => exactQt(e, m).copy(bucketing = true)),
+    "our-approx"             -> ((e, m, r) => approx(e, m, r)),
+    "our-approx-qt"          -> ((e, m, r) => approxQt(e, m, r)),
+    "our-approx-bucketing"   -> ((e, m, r) => approx(e, m, r).copy(bucketing = true)),
+    "our-2d-grid-bcp"        -> ((e, m, _) => DBSCANConfig(e, m, GridCells, ScanCore, BcpGraph)),
+    "our-2d-grid-usec"       -> ((e, m, _) => DBSCANConfig(e, m, GridCells, ScanCore, UsecGraph)),
+    "our-2d-grid-delaunay"   -> ((e, m, _) => DBSCANConfig(e, m, GridCells, ScanCore, DelaunayGraph)),
+    "our-2d-box-bcp"         -> ((e, m, _) => DBSCANConfig(e, m, BoxCells, ScanCore, BcpGraph)),
+    "our-2d-box-usec"        -> ((e, m, _) => DBSCANConfig(e, m, BoxCells, ScanCore, UsecGraph)),
+    "our-2d-box-delaunay"    -> ((e, m, _) => DBSCANConfig(e, m, BoxCells, ScanCore, DelaunayGraph)),
+  )
+
+  /** The config of the variant called `name`, or None for an unknown name. */
+  def named(name: String, eps: Double, minPts: Int, rho: Double): Option[DBSCANConfig] =
+    variants.collectFirst { case (`name`, f) => f(eps, minPts, rho) }
 }
 
 /** Phase timings (ms) and graph stats of one run. */

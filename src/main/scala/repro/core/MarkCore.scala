@@ -20,7 +20,8 @@ object MarkCore {
                          par: Int = 0): Array[QuadTree] = {
     Par.perCell(sc, 0 until bcIdx.value.numCells, par) { c =>
       val idx = bcIdx.value
-      Some(QuadTree.build(idx.pts(c), idx.qtLo(c), idx.cellSide))
+      Some(QuadTree.over(idx.coords, idx.d, Array.range(idx.start(c), idx.start(c + 1)),
+        idx.qtLo(c), idx.cellSide))
     }
   }
 
@@ -43,8 +44,7 @@ object MarkCore {
             val h = nbs(i)
             if (idx.minSqDistToCell(h, xs, p * d) <= e2) {
               bcQt match {
-                case Some(qts) =>
-                  count += qts.value(h).rangeCount(xs.slice(p * d, p * d + d), eps)
+                case Some(qts) => count += qts.value(h).count(xs, p * d, eps, minPts - count)
                 case None =>
                   var j = idx.start(h)
                   while (count < minPts && j < idx.start(h + 1)) {

@@ -84,32 +84,11 @@ object Experiments {
     "our-2d-box-bcp", "our-2d-box-usec", "our-2d-box-delaunay",
     "pdsdbscan", "hpdbscan")
 
-  private[repro] def config(method: String, eps: Double, minPts: Int, rho: Double,
-                            par: Int): Option[DBSCANConfig] = {
-    val base = method match {
-      case "our-exact"              => Some(DBSCANConfig.exact(eps, minPts))
-      case "our-exact-bucketing"    => Some(DBSCANConfig.exact(eps, minPts).copy(bucketing = true))
-      case "our-exact-qt"           => Some(DBSCANConfig.exactQt(eps, minPts))
-      case "our-exact-qt-bucketing" => Some(DBSCANConfig.exactQt(eps, minPts).copy(bucketing = true))
-      case "our-approx"             => Some(DBSCANConfig.approx(eps, minPts, rho))
-      case "our-approx-qt"          => Some(DBSCANConfig.approxQt(eps, minPts, rho))
-      case "our-approx-bucketing"   => Some(DBSCANConfig.approx(eps, minPts, rho).copy(bucketing = true))
-      case "our-2d-grid-bcp"        => Some(DBSCANConfig(eps, minPts, GridCells, ScanCore, BcpGraph))
-      case "our-2d-grid-usec"       => Some(DBSCANConfig(eps, minPts, GridCells, ScanCore, UsecGraph))
-      case "our-2d-grid-delaunay"   => Some(DBSCANConfig(eps, minPts, GridCells, ScanCore, DelaunayGraph))
-      case "our-2d-box-bcp"         => Some(DBSCANConfig(eps, minPts, BoxCells, ScanCore, BcpGraph))
-      case "our-2d-box-usec"        => Some(DBSCANConfig(eps, minPts, BoxCells, ScanCore, UsecGraph))
-      case "our-2d-box-delaunay"    => Some(DBSCANConfig(eps, minPts, BoxCells, ScanCore, DelaunayGraph))
-      case _                        => None
-    }
-    base.map(_.copy(parallelism = par))
-  }
-
   /** Execute one (dataset, method, parameters) cell and time it end-to-end. */
   def run(spark: SparkSession, w: Workload, method: String, eps: Double,
           minPts: Int, par: Int = 0, rho: Double = 0.01): RunRow = {
     val t0 = System.nanoTime()
-    val res = config(method, eps, minPts, rho, par) match {
+    val res = DBSCANConfig.named(method, eps, minPts, rho).map(_.copy(parallelism = par)) match {
       case Some(cfg) => DBSCAN.run(spark, w.rdd, w.ds.d, cfg)
       case None => method match {
         case "pdsdbscan" => PdsDbscan.run(spark, w.pts, eps, minPts, par)

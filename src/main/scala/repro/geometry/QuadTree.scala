@@ -1,6 +1,6 @@
 package repro.geometry
 
-import repro.core.{Dist, Pt}
+import repro.core.Pt
 
 /** A 2^d-tree ("quadtree" in the paper, §5.2) over the points of one grid
   * cell, supporting exact and ρ-approximate RangeCount queries.
@@ -11,200 +11,143 @@ import repro.core.{Dist, Pt}
   * once the side length drops to `minSide = ρ·ε/√d` (paper depth bound
   * `l = 1 + ⌈log2 1/ρ⌉`).
   *
-  * Approximate queries add a whole node's count once its box is contained in
-  * the `ε(1+ρ)`-ball, and add small leaves (side ≤ minSide, diagonal ≤ ερ)
-  * wholesale; leaves that stopped early on `leafSize` are scanned exactly, so
-  * the returned count always lies between the ε-count and the ε(1+ρ)-count.
+  * The tree owns one flat array `xs` of its points' coordinates (d values per
+  * point) in leaf order, so every node covers the points `[from, until)` of
+  * it. The child index packs one bit per dimension into 32 bits of a long,
+  * which limits the tree to d ≤ 32.
   */
-final class QuadTree private (root: QuadTree.Node, val minSide: Double) extends Serializable {
+final class QuadTree private (xs: Array[Double], d: Int, root: QuadTree.Node, val minSide: Double)
+    extends Serializable {
+
+  /** RangeCount of the point at offset `off` of the flat array `q`: the number
+    * of points within `eps` when that is below `limit`, otherwise some value
+    * ≥ `limit` (the query visits no more nodes once it reaches `limit`; a
+    * leaf is scanned whole, which keeps the scan loop free of that check). A
+    * whole node counts when its box lies inside the ε-ball, or when it is a
+    * leaf no wider than `minSide` that meets the ε-ball (diagonal ≤ ερ), so
+    * on the approximate tree the count lies between the ε-count and the
+    * ε(1+ρ)-count. */
+  def count(q: Array[Double], off: Int, eps: Double, limit: Int): Int = {
+    val e2 = eps * eps
+    def go(nd: QuadTree.Node, acc: Int): Int =
+      if (nd.minSqDistTo(q, off) > e2) acc
+      else if (nd.maxSqDistTo(q, off) <= e2 || (nd.kids == null && nd.side <= minSide))
+        acc + nd.until - nd.from
+      else if (nd.kids == null) {
+        var c = acc; var i = nd.from
+        while (i < nd.until) {
+          var s = 0.0; var j = 0
+          while (j < d) { val t = xs(i * d + j) - q(off + j); s += t * t; j += 1 }
+          if (s <= e2) c += 1
+          i += 1
+        }
+        c
+      } else {
+        var c = acc; var k = 0
+        while (c < limit && k < nd.kids.length) { c = go(nd.kids(k), c); k += 1 }
+        c
+      }
+    go(root, 0)
+  }
 
   /** Exact number of points within distance `eps` of `q`. */
-  def rangeCount(q: Array[Double], eps: Double): Int = {
-    val e2 = eps * eps
-    def go(nd: QuadTree.Node): Int = {
-      val mn = nd.minSqDistTo(q)
-      if (mn > e2) 0
-      else if (nd.maxSqDistTo(q) <= e2) nd.count
-      else nd match {
-        case l: QuadTree.Leaf =>
-          var c = 0; var i = 0
-          while (i < l.pts.length) { if (Dist.sq(l.pts(i).x, q) <= e2) c += 1; i += 1 }
-          c
-        case in: QuadTree.Inner =>
-          var c = 0; var i = 0
-          while (i < in.kids.length) { c += go(in.kids(i)); i += 1 }
-          c
-      }
-    }
-    go(root)
-  }
+  def rangeCount(q: Array[Double], eps: Double): Int = count(q, 0, eps, Int.MaxValue)
 
   /** True iff some point lies within `eps` of `q`; early exit. */
-  def existsWithin(q: Array[Double], eps: Double): Boolean = {
-    val e2 = eps * eps
-    def go(nd: QuadTree.Node): Boolean = {
-      val mn = nd.minSqDistTo(q)
-      if (mn > e2) false
-      else if (nd.maxSqDistTo(q) <= e2) nd.count > 0
-      else nd match {
-        case l: QuadTree.Leaf =>
-          var i = 0
-          while (i < l.pts.length) {
-            if (Dist.sq(l.pts(i).x, q) <= e2) return true
-            i += 1
-          }
-          false
-        case in: QuadTree.Inner =>
-          var i = 0
-          while (i < in.kids.length) { if (go(in.kids(i))) return true; i += 1 }
-          false
-      }
-    }
-    go(root)
-  }
-
-  /** ρ-approximate count: result c satisfies count(ε) <= c <= count(ε(1+ρ)). */
-  def approxCount(q: Array[Double], eps: Double, rho: Double): Int = {
-    val e2 = eps * eps
-    val eOut2 = eps * (1 + rho) * eps * (1 + rho)
-    def go(nd: QuadTree.Node): Int = {
-      if (nd.minSqDistTo(q) > e2) 0
-      else if (nd.maxSqDistTo(q) <= eOut2) nd.count
-      else nd match {
-        case l: QuadTree.Leaf =>
-          if (l.side <= minSide) l.count // diag <= ερ, box intersects ε-ball
-          else {
-            var c = 0; var i = 0
-            while (i < l.pts.length) { if (Dist.sq(l.pts(i).x, q) <= e2) c += 1; i += 1 }
-            c
-          }
-        case in: QuadTree.Inner =>
-          var c = 0; var i = 0
-          while (i < in.kids.length) { c += go(in.kids(i)); i += 1 }
-          c
-      }
-    }
-    go(root)
-  }
+  def existsWithin(q: Array[Double], eps: Double): Boolean = count(q, 0, eps, 1) > 0
 
   /** Approximate-count > 0, with early exit: true implies a point within
-    * ε(1+ρ); false implies no point within ε. */
-  def approxExists(q: Array[Double], eps: Double, rho: Double): Boolean = {
-    val e2 = eps * eps
-    def go(nd: QuadTree.Node): Boolean = {
-      if (nd.minSqDistTo(q) > e2) false
-      else nd match {
-        case l: QuadTree.Leaf =>
-          if (l.side <= minSide) l.count > 0
-          else {
-            var i = 0
-            while (i < l.pts.length) {
-              if (Dist.sq(l.pts(i).x, q) <= e2) return true
-              i += 1
-            }
-            false
-          }
-        case in: QuadTree.Inner =>
-          var i = 0
-          while (i < in.kids.length) { if (go(in.kids(i))) return true; i += 1 }
-          false
-      }
-    }
-    go(root)
-  }
+    * ε(1+ρ); false implies no point within ε. The tree's `minSide` fixes ρ. */
+  def approxExists(q: Array[Double], eps: Double, rho: Double): Boolean = count(q, 0, eps, 1) > 0
 
-  def size: Int = root.count
+  def size: Int = root.until
 }
 
 object QuadTree {
 
-  sealed trait Node extends Serializable {
-    def lo: Array[Double]
-    def side: Double
-    def count: Int
-    final def minSqDistTo(q: Array[Double]): Double = {
+  /** A box with corner `lo` and side `side` holding the tree's points
+    * `[from, until)`; a leaf has no kids (`kids == null`). */
+  final class Node(val lo: Array[Double], val side: Double, val from: Int, val until: Int,
+                   val kids: Array[Node]) extends Serializable {
+    def minSqDistTo(q: Array[Double], off: Int): Double = {
       var s = 0.0; var i = 0
-      while (i < q.length) {
-        val v = q(i)
+      while (i < lo.length) {
+        val v = q(off + i)
         val t = if (v < lo(i)) lo(i) - v else if (v > lo(i) + side) v - (lo(i) + side) else 0.0
         s += t * t; i += 1
       }
       s
     }
-    final def maxSqDistTo(q: Array[Double]): Double = {
+    def maxSqDistTo(q: Array[Double], off: Int): Double = {
       var s = 0.0; var i = 0
-      while (i < q.length) {
-        val t = math.max(math.abs(q(i) - lo(i)), math.abs(q(i) - (lo(i) + side)))
+      while (i < lo.length) {
+        val t = math.max(math.abs(q(off + i) - lo(i)), math.abs(q(off + i) - (lo(i) + side)))
         s += t * t; i += 1
       }
       s
     }
   }
-  final case class Leaf(lo: Array[Double], side: Double, pts: Array[Pt]) extends Node {
-    def count: Int = pts.length
-  }
-  final case class Inner(lo: Array[Double], side: Double, count: Int, kids: Array[Node]) extends Node
 
   /** Exact-query tree for a cell with corner `lo` and side `side`. */
   def build(pts: Array[Pt], lo: Array[Double], side: Double, leafSize: Int = 16): QuadTree =
-    new QuadTree(buildNode(pts, lo, side, 0.0, leafSize), 0.0)
+    buildApprox(pts, lo, side, 0.0, leafSize)
 
-  /** Approximate-query tree: splits until side <= ρ·side0·? — callers pass
-    * `minSide = ρ·ε/√d` directly (root side is ε/√d for grid cells). */
+  /** Approximate-query tree: callers pass `minSide = ρ·ε/√d` directly (root
+    * side is ε/√d for grid cells). */
   def buildApprox(pts: Array[Pt], lo: Array[Double], side: Double, minSide: Double,
                   leafSize: Int = 16): QuadTree =
-    new QuadTree(buildNode(pts, lo, side, minSide, leafSize), minSide)
+    over(pts.flatMap(_.x), lo.length, Array.range(0, pts.length), lo, side, minSide, leafSize)
 
-  private def buildNode(pts: Array[Pt], lo: Array[Double], side: Double,
-                        minSide: Double, leafSize: Int): Node = {
-    val d = lo.length
-    // Stop on small population, on reaching the approximate resolution, or on
-    // a degenerate side (duplicate-point guard).
-    if (pts.length <= leafSize || side <= minSide || side < 1e-9)
-      Leaf(lo, side, pts)
-    else {
+  /** The tree over the points at positions `pos` of a flat coordinate array
+    * with `d` values per point; `minSide = 0` gives the exact tree. */
+  def over(coords: Array[Double], d: Int, pos: Array[Int], lo: Array[Double], side: Double,
+           minSide: Double = 0.0, leafSize: Int = 16): QuadTree = {
+    require(d <= 32, s"quadtrees support at most 32 dimensions, got d = $d")
+    val order = pos.clone() // reordered in place into leaf order
+    def node(a: Int, b: Int, lo: Array[Double], side: Double): Node = {
+      // Stop on small population, on reaching the approximate resolution, or
+      // on a degenerate side (duplicate-point guard).
+      if (b - a <= leafSize || side <= minSide || side < 1e-9) return new Node(lo, side, a, b, null)
       val half = side / 2
-      // Group points by child index (one bit per dimension).
-      val groups = new java.util.HashMap[Integer, scala.collection.mutable.ArrayBuffer[Pt]]()
-      var i = 0
-      while (i < pts.length) {
-        val x = pts(i).x
-        var idx = 0; var j = 0
+      // Group the points by child index (one bit per dimension) with one sort.
+      val keys = Array.tabulate(b - a) { i =>
+        val p = order(a + i)
+        var child = 0L; var j = 0
         while (j < d) {
-          if (x(j) >= lo(j) + half) idx |= (1 << j)
+          if (coords(p * d + j) >= lo(j) + half) child |= 1L << j
           j += 1
         }
-        var buf = groups.get(idx)
-        if (buf == null) { buf = new scala.collection.mutable.ArrayBuffer[Pt](); groups.put(idx, buf) }
-        buf += pts(i)
-        i += 1
+        (child << 32) | p
       }
-      if (groups.size == 1 && minSide <= 0.0) {
-        // All points in one sub-cell: skip chain nodes (paper's >=2-children
-        // rule) by recursing directly into the only child. For the
-        // approximate tree we must keep descending to honor the side bound,
-        // which the recursive call below does anyway.
-        val e = groups.entrySet().iterator().next()
-        val clo = childLo(lo, half, e.getKey)
-        return buildNode(e.getValue.toArray, clo, half, minSide, leafSize)
+      java.util.Arrays.sort(keys)
+      var i = 0
+      while (i < keys.length) { order(a + i) = keys(i).toInt; i += 1 }
+      val kids = Array.newBuilder[Node]
+      i = 0
+      while (i < keys.length) {
+        val child = keys(i) >>> 32
+        var k = i + 1
+        while (k < keys.length && keys(k) >>> 32 == child) k += 1
+        // All points in one sub-cell: skip the chain node (paper's ≥2-children
+        // rule). The approximate tree keeps it to honor the side bound.
+        if (i == 0 && k == keys.length && minSide <= 0.0) return node(a, b, childLo(lo, half, child), half)
+        kids += node(a + i, a + k, childLo(lo, half, child), half)
+        i = k
       }
-      val kids = new Array[Node](groups.size)
-      val it = groups.entrySet().iterator()
-      var k = 0
-      while (it.hasNext) {
-        val e = it.next()
-        kids(k) = buildNode(e.getValue.toArray, childLo(lo, half, e.getKey), half, minSide, leafSize)
-        k += 1
-      }
-      Inner(lo, side, pts.length, kids)
+      new Node(lo, side, a, b, kids.result())
     }
+    val root = node(0, order.length, lo, side)
+    val xs = new Array[Double](order.length * d)
+    var i = 0
+    while (i < order.length) { System.arraycopy(coords, order(i) * d, xs, i * d, d); i += 1 }
+    new QuadTree(xs, d, root, minSide)
   }
 
-  private def childLo(lo: Array[Double], half: Double, idx: Int): Array[Double] = {
+  private def childLo(lo: Array[Double], half: Double, child: Long): Array[Double] = {
     val clo = new Array[Double](lo.length)
     var j = 0
     while (j < lo.length) {
-      clo(j) = if ((idx & (1 << j)) != 0) lo(j) + half else lo(j)
+      clo(j) = if ((child & (1L << j)) != 0) lo(j) + half else lo(j)
       j += 1
     }
     clo

@@ -94,4 +94,17 @@ class DBSCANSpec extends SparkSpec {
     val gotCore = out.filter("is_core").select("id").collect().map(_.getLong(0)).toSet
     assert(gotCore === (0 until 200).filter(want.isCore(_)).map(_.toLong).toSet)
   }
+
+  test("every registered variant name round-trips through named and name") {
+    for ((n, _) <- DBSCANConfig.variants) {
+      val cfg = DBSCANConfig.named(n, 2.5, 8, 0.1).get
+      assert(DBSCANConfig.named(cfg.name, 2.5, 8, 0.1) === Some(cfg), n)
+      assert(cfg.copy(parallelism = 3).name === cfg.name)
+    }
+    // `our-2d-grid-bcp` is our-exact's config, so it reads back as our-exact.
+    assert(DBSCANConfig.named("our-2d-grid-bcp", 2.5, 8, 0.1).get.name === "our-exact")
+    assert(DBSCANConfig.exact(20, 100).copy(bucketing = true).name === "our-exact-bucketing")
+    assert(DBSCANConfig(20, 100, GridCells, ScanCore, UsecGraph).name === "our-2d-grid-usec")
+    assert(DBSCANConfig.named("bogus", 2.5, 8, 0.1) === None)
+  }
 }

@@ -41,6 +41,13 @@ class InputContractSpec extends SparkSpec {
     assert(messages(e).contains("out of the grid's Int range"), messages(e))
   }
 
+  test("quadtree variants reject d > 32 naming d") {
+    val pts = TestUtil.uniformPts(50, 33, 10.0, 4L).toSeq
+    val e = intercept[Exception](
+      DBSCAN.run(spark, spark.sparkContext.parallelize(pts, 2), 33, DBSCANConfig.exactQt(2.0, 3)))
+    assert(messages(e).contains("d = 33"), messages(e))
+  }
+
   test("ids that are not dense in [0, n) are rejected naming the first bad id") {
     val pts = Seq(0L, 1L, 5L).map(i => Pt(i, Array(i.toDouble, 0.0)))
     val e = intercept[IllegalArgumentException](run(pts, 2))

@@ -16,6 +16,12 @@ class QuadTreeSpec extends AnyFunSuite {
   private def bruteCount(pts: Array[Pt], q: Array[Double], r: Double): Int =
     pts.count(p => Dist.sq(p.x, q) <= r * r)
 
+  /** `count`'s contract on an exact tree: the true count below `limit`, else
+    * a value between `limit` and the true count. */
+  private def assertLimited(c: Int, brute: Int, limit: Int): Unit =
+    if (brute < limit) assert(c === brute, s"limit $limit")
+    else assert(c >= limit && c <= brute, s"count $c outside [$limit, $brute]")
+
   for {
     d <- Seq(1, 2, 3, 5)
     n <- Seq(1, 20, 300)
@@ -30,6 +36,10 @@ class QuadTreeSpec extends AnyFunSuite {
       val r = rnd.nextDouble() * 15
       assert(qt.rangeCount(q, r) === bruteCount(pts, q, r))
       assert(qt.existsWithin(q, r) === (bruteCount(pts, q, r) > 0))
+      val b = bruteCount(pts, q, r)
+      val flat = Array.fill(3)(-1.0) ++ q
+      assert(qt.count(flat, 3, r, Int.MaxValue) === b)
+      for (limit <- Seq(1, b, b - 1)) assertLimited(qt.count(q, 0, r, limit), b, limit)
     }
   }
 
@@ -45,7 +55,7 @@ class QuadTreeSpec extends AnyFunSuite {
     val rnd = new SplittableRandom(seed * 77)
     for (_ <- 0 until 60) {
       val q = Array.fill(d)(rnd.nextDouble() * 3 * side - side)
-      val c = qt.approxCount(q, eps, rho)
+      val c = qt.count(q, 0, eps, Int.MaxValue)
       val lo = bruteCount(pts, q, eps)
       val hi = bruteCount(pts, q, eps * (1 + rho))
       assert(c >= lo && c <= hi, s"approx count $c outside [$lo, $hi]")
@@ -67,6 +77,18 @@ class QuadTreeSpec extends AnyFunSuite {
     val qt = QuadTree.build(pts, Array(0.0, 0.0), 10.0, leafSize = 4)
     assert(qt.rangeCount(Array(5.0, 5.0), 0.0) === 100)
     assert(qt.size === 100)
+  }
+
+  test("trees count correctly up to d = 32 and reject d = 33") {
+    // The child index packs one bit per dimension into 32 bits, so d = 33
+    // must be rejected rather than wrap points into a child whose box does
+    // not hold them.
+    val pts = cellPts(400, 32, 0.0, 10.0, 31L)
+    val qt = QuadTree.build(pts, Array.fill(32)(0.0), 10.0, leafSize = 4)
+    for (p <- pts.take(200)) assert(qt.rangeCount(p.x, 0.1) === bruteCount(pts, p.x, 0.1))
+    val e = intercept[IllegalArgumentException](
+      QuadTree.build(cellPts(400, 33, 0.0, 10.0, 31L), Array.fill(33)(0.0), 10.0, leafSize = 4))
+    assert(e.getMessage.contains("d = 33"))
   }
 
   test("high-dimensional tree (d=13) counts correctly") {
