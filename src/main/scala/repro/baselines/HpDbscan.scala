@@ -77,14 +77,12 @@ object HpDbscan {
           val i = p.id.toInt
           if (owned) {
             if (core(i)) {
-              tree.within(p.x, eps).foreach { q =>
-                val j = q.id.toInt
+              tree.within(p.x, eps).foreach { j =>
                 if (core(j) && j != i) { uf.union(i, j); touched += i; touched += j }
               }
             } else {
               val seenRoots = scala.collection.mutable.HashSet[Int]()
-              tree.within(p.x, eps).foreach { q =>
-                val j = q.id.toInt
+              tree.within(p.x, eps).foreach { j =>
                 if (core(j) && seenRoots.add(uf.find(j))) reps += ((i, j))
               }
             }

@@ -40,8 +40,7 @@ object NaiveDBSCAN {
         val queue = scala.collection.mutable.ArrayDeque[Int](i)
         while (queue.nonEmpty) {
           val u = queue.removeHead()
-          tree.within(byId(u).x, eps).foreach { q =>
-            val v = q.id.toInt
+          tree.within(byId(u).x, eps).foreach { v =>
             if (isCore(v) && cluster(v) < 0) { cluster(v) = cid; queue += v }
           }
         }
@@ -54,8 +53,8 @@ object NaiveDBSCAN {
     while (i < n) {
       if (!isCore(i)) {
         val cs = tree.within(byId(i).x, eps)
-          .filter(q => isCore(q.id.toInt))
-          .map(q => cluster(q.id.toInt))
+          .filter(isCore(_))
+          .map(cluster(_))
           .distinct.sorted
         border(i) = cs
       }

@@ -43,8 +43,7 @@ object PdsDbscan {
       val touched = scala.collection.mutable.BitSet()
       it.foreach { i =>
         if (core(i)) {
-          tree.within(ps(i).x, eps).foreach { q =>
-            val j = q.id.toInt
+          tree.within(ps(i).x, eps).foreach { j =>
             if (core(j) && j != i) { uf.union(i, j); touched += i; touched += j }
           }
         }
@@ -73,8 +72,8 @@ object PdsDbscan {
       if (bcCore.value(i)) Iterator.empty
       else {
         val cs = bcTree.value.within(bcPts.value(i).x, eps)
-          .filter(q => bcCore.value(q.id.toInt))
-          .map(q => bcCluster.value(q.id.toInt))
+          .filter(bcCore.value(_))
+          .map(bcCluster.value(_))
           .distinct.sorted
         if (cs.nonEmpty) Iterator.single((i, cs)) else Iterator.empty
       }

@@ -53,18 +53,10 @@ object RpDbscan {
     val keys = merged.map(_._1)
     val infos = merged.map(_._2)
     val keyToId = keys.zipWithIndex.toMap
-    def cellLo(k: Seq[Int]): Array[Double] = k.map(_ * side).toArray
-    def cellHi(k: Seq[Int]): Array[Double] = k.map(i => (i + 1) * side).toArray
-    val boxes = keys.map(k => BBox(cellLo(k), cellHi(k)))
-
-    // Neighbor cells via a k-d tree over cell centers.
-    val centers = Array.tabulate(m)(i => Pt(i, boxes(i).center))
-    val tree = repro.geometry.KDTree.build(centers)
-    val diag = side * math.sqrt(d.toDouble)
-    val e2 = eps * eps
-    val neighborsOf: Int => Array[Int] = i =>
-      tree.within(centers(i).x, eps + diag).map(_.id.toInt)
-        .filter(j => j != i && boxes(i).minSqDist(boxes(j)) <= e2)
+    // Full cell boxes, d values per cell, and the neighbor cells of each.
+    val lo = keys.flatMap(_.map(_ * side))
+    val hi = keys.flatMap(_.map(k => (k + 1) * side))
+    val nbrs = CellIndex.neighborLists(sc, lo, hi, d, eps)
 
     // (4a) core cells: exact for dense cells, neighbor-count approximation
     // for sparse ones (the approximation RP-DBSCAN's two-level cells admit).
@@ -73,7 +65,7 @@ object RpDbscan {
     while (i < m) {
       if (infos(i).count >= minPts) isCoreCell(i) = true
       else {
-        val total = infos(i).count + neighborsOf(i).map(infos(_).count).sum
+        val total = infos(i).count + nbrs(i).map(infos(_).count).sum
         isCoreCell(i) = total >= minPts
       }
       i += 1
@@ -86,9 +78,9 @@ object RpDbscan {
     i = 0
     while (i < m) {
       if (isCoreCell(i)) {
-        neighborsOf(i).foreach { j =>
+        nbrs(i).foreach { j =>
           if (isCoreCell(j) && j < i && uf.find(i) != uf.find(j)) {
-            val touching = boxes(i).minSqDist(boxes(j)) == 0.0
+            val touching = BBox.sqDistBetween(lo, hi, i * d, lo, hi, j * d, d) == 0.0
             val sampleHit = infos(i).samples.exists(a =>
               infos(j).samples.exists(b => Dist.leq(a.x, b.x, epsOut)))
             if (touching || sampleHit) uf.union(i, j)
@@ -102,7 +94,7 @@ object RpDbscan {
       if (isCoreCell(c)) rootToCluster.getOrElseUpdate(uf.find(c), rootToCluster.size) else -1
     }
     val cellNbrClusters = Array.tabulate(m) { c =>
-      (neighborsOf(c) :+ c).filter(isCoreCell).map(j => cellCluster(j)).distinct.sorted
+      (nbrs(c) :+ c).filter(isCoreCell).map(j => cellCluster(j)).distinct.sorted
     }
 
     // (5) final labeling pass over all points.

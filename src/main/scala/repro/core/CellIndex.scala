@@ -2,9 +2,8 @@ package repro.core
 
 import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
+import org.apache.spark.SparkContext
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 import repro.geometry.KDTree
 
 /** The cell structure shared by every algorithm variant (paper Alg. 1 line 2).
@@ -73,15 +72,8 @@ final class CellIndex(
 
   /** The same for the point at offset `off` of a flat coordinate array — the
     * hot-path bbox prefilter in MarkCore / ClusterBorder. */
-  def minSqDistToCell(c: Int, xs: Array[Double], off: Int): Double = {
-    var s = 0.0; var j = 0
-    while (j < d) {
-      val v = xs(off + j); val lo = cellLo(c * d + j); val hi = cellHi(c * d + j)
-      val t = if (v < lo) lo - v else if (v > hi) v - hi else 0.0
-      s += t * t; j += 1
-    }
-    s
-  }
+  def minSqDistToCell(c: Int, xs: Array[Double], off: Int): Double =
+    BBox.minSqDistTo(cellLo, cellHi, c * d, d, xs, off)
 }
 
 object CellIndex {
@@ -102,13 +94,6 @@ object CellIndex {
       j += 1
     }
     ArraySeq.unsafeWrapArray(k)
-  }
-
-  /** Catalyst-facing cell assignment: adds a `cell` array<int> column. Used
-    * by tests to cross-check the grid against DuckDB's floor arithmetic. */
-  def assignCellsDF(df: DataFrame, cols: Seq[String], eps: Double): DataFrame = {
-    val side = sideFor(eps, cols.size)
-    df.withColumn("cell", array(cols.map(c => floor(col(c) / lit(side)).cast("int")): _*))
   }
 
   /** Grid-based construction (paper §4.1, used for all d). */
@@ -165,9 +150,7 @@ object CellIndex {
     * cell (PBBS's per-block histograms), then `reduceByKey` concatenates —
     * only flat arrays cross the shuffle, never per-point objects. The driver
     * concatenates the cells into the cell-ordered layout, then finds each
-    * cell's neighbors with a k-d tree over cell centers (paper §5.1 —
-    * enumeration is exponential in d, the tree finds only the non-empty
-    * neighbors). */
+    * cell's neighbors with `neighborLists`. */
   private def build(points: RDD[Pt], eps: Double, d: Int)(key: Pt => ArraySeq[Int]): CellIndex = {
     val grouped = points
       .mapPartitions { it =>
@@ -190,8 +173,6 @@ object CellIndex {
     val keys = new Array[Int](m * d)
     val lo = new Array[Double](m * d)
     val hi = new Array[Double](m * d)
-    val centers = new Array[Pt](m)
-    var maxDiag = 0.0
     for (c <- 0 until m) {
       val (k, (is, cs)) = grouped(c)
       k.copyToArray(keys, c * d)
@@ -200,26 +181,36 @@ object CellIndex {
       val bb = BBox.of(cs, d, is.indices)
       System.arraycopy(bb.lo, 0, lo, c * d, d)
       System.arraycopy(bb.hi, 0, hi, c * d, d)
-      centers(c) = Pt(c, bb.center)
-      maxDiag = math.max(maxDiag, math.sqrt(Dist.sq(bb.lo, bb.hi)))
     }
     requireDense(ids)
-    val side = sideFor(eps, d)
-    if (m == 0) return new CellIndex(eps, side, d, sizes, ids, coords, keys, lo, hi, Array.empty, Array.empty)
-    // Neighbor lookup: centers within eps + maxDiag cover every cell pair
-    // with bbox distance ≤ eps; exact-filter afterwards. The per-cell queries
-    // are embarrassingly parallel (sequential on the driver they are the
-    // bottleneck on datasets where every noise point is its own cell).
+    val lists = neighborLists(points.sparkContext, lo, hi, d, eps)
+    new CellIndex(eps, sideFor(eps, d), d, sizes, ids, coords, keys, lo, hi, lists.map(_.length), lists.flatten)
+  }
+
+  /** For each of the m boxes that are the `d` values at offset c·d of `lo`
+    * and `hi`, the sorted ids of the other boxes within `eps` of it — its
+    * neighboring cells. A k-d tree over the box centers finds the candidates
+    * (paper §5.1: enumerating the neighbor cells is exponential in d, the
+    * tree finds only the non-empty ones): centers within ε + the largest box
+    * diagonal cover every box within ε, and the box distance filters them.
+    * The per-box queries are one Spark job over the broadcast tree and boxes;
+    * on the driver they are the bottleneck when most cells hold one point. */
+  private[repro] def neighborLists(sc: SparkContext, lo: Array[Double], hi: Array[Double], d: Int,
+                                   eps: Double): Array[Array[Int]] = {
+    val m = lo.length / d
+    val centers = Array.tabulate(m * d)(i => (lo(i) + hi(i)) / 2)
+    // A box's squared diagonal is its corner `lo`'s squared distance to its far corner.
+    val maxDiag2 = (0 until m).iterator.map(c => BBox.maxSqDistTo(lo, hi, c * d, d, lo, c * d)).maxOption
+    val r = eps + math.sqrt(maxDiag2.getOrElse(0.0))
     val e2 = eps * eps
-    val r = eps + maxDiag
-    val bc = points.sparkContext.broadcast((KDTree.build(centers), lo, hi))
-    val lists = try Par.perCell(points.sparkContext, 0 until m, par = 0) { i =>
-      val (tr, loA, hiA) = bc.value
-      def box(j: Int) = BBox(loA.slice(j * d, j * d + d), hiA.slice(j * d, j * d + d))
-      val bb = box(i)
-      Some(tr.within(bb.center, r).map(_.id.toInt).filter(j => j != i && bb.minSqDist(box(j)) <= e2).sorted)
+    val bc = sc.broadcast((KDTree.over(centers, d, Array.range(0, m)), lo, hi))
+    try Par.perCell(sc, 0 until m, par = 0) { c =>
+      val (tree, bl, bh) = bc.value
+      val q = Array.tabulate(d)(j => (bl(c * d + j) + bh(c * d + j)) / 2)
+      val near = tree.within(q, r).filter(h => h != c && BBox.sqDistBetween(bl, bh, c * d, bl, bh, h * d, d) <= e2)
+      java.util.Arrays.sort(near)
+      Some(near)
     } finally bc.destroy()
-    new CellIndex(eps, side, d, sizes, ids, coords, keys, lo, hi, lists.map(_.length), lists.flatten)
   }
 
   /** Every per-point array is indexed by id, so ids must be `[0, n)`, each

@@ -188,16 +188,17 @@ object DBSCAN {
   }
 
   /** DataFrame convenience wrapper: clusters rows of `df` on the given
-    * coordinate columns, returning (id, is_core, clusters array<int>). */
+    * coordinate columns, returning (id, is_core, clusters array<int>). The
+    * `id` column may hold any unique values; the run numbers the rows
+    * densely and each output row carries its input row's `id`. */
   def runDF(spark: SparkSession, df: DataFrame, cols: Seq[String], cfg: DBSCANConfig): DataFrame = {
     import org.apache.spark.sql.functions._
-    val d = cols.length
-    val pts = df.select(col("id").cast("long"), array(cols.map(col): _*))
-      .rdd.map(r => Pt(r.getLong(0), r.getSeq[Double](1).toArray))
-    val res = run(spark, pts, d, cfg)
-    val rows = (0 until res.n).map { i =>
-      (i.toLong, res.isCore(i), res.clustersOf(i).toSeq.sorted)
-    }
-    spark.createDataFrame(rows).toDF("id", "is_core", "clusters")
+    val rows = df.select(col("id").cast("long"), array(cols.map(col): _*)).rdd.zipWithIndex()
+    val ids = rows.map(_._1.getLong(0)).collect() // the caller's id of dense id i
+    val seen = new java.util.HashSet[Long]()
+    ids.foreach(id => require(seen.add(id), s"duplicate id $id: runDF needs a unique id column"))
+    val res = run(spark, rows.map { case (r, i) => Pt(i, r.getSeq[Double](1).toArray) }, cols.length, cfg)
+    val out = ids.indices.map(i => (ids(i), res.isCore(i), res.clustersOf(i).toSeq.sorted))
+    spark.createDataFrame(out).toDF("id", "is_core", "clusters")
   }
 }

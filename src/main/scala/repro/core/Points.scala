@@ -50,38 +50,13 @@ final case class BBox(lo: Array[Double], hi: Array[Double]) extends Serializable
   def minSqDistTo(p: Array[Double]): Double = minSqDistTo(p, 0)
 
   /** The same for the point at offset `off` of a flat coordinate array. */
-  def minSqDistTo(xs: Array[Double], off: Int): Double = {
-    var s = 0.0; var i = 0
-    while (i < lo.length) {
-      val v = xs(off + i)
-      val t = if (v < lo(i)) lo(i) - v else if (v > hi(i)) v - hi(i) else 0.0
-      s += t * t; i += 1
-    }
-    s
-  }
+  def minSqDistTo(xs: Array[Double], off: Int): Double = BBox.minSqDistTo(lo, hi, 0, d, xs, off)
 
   /** Squared distance from `p` to the farthest point of the box. */
-  def maxSqDistTo(p: Array[Double]): Double = {
-    var s = 0.0; var i = 0
-    while (i < p.length) {
-      val t = math.max(math.abs(p(i) - lo(i)), math.abs(p(i) - hi(i)))
-      s += t * t; i += 1
-    }
-    s
-  }
+  def maxSqDistTo(p: Array[Double]): Double = BBox.maxSqDistTo(lo, hi, 0, d, p, 0)
 
   /** Squared min distance between two boxes (0 if they intersect). */
-  def minSqDist(o: BBox): Double = {
-    var s = 0.0; var i = 0
-    while (i < lo.length) {
-      val t =
-        if (hi(i) < o.lo(i)) o.lo(i) - hi(i)
-        else if (o.hi(i) < lo(i)) lo(i) - o.hi(i)
-        else 0.0
-      s += t * t; i += 1
-    }
-    s
-  }
+  def minSqDist(o: BBox): Double = BBox.sqDistBetween(lo, hi, 0, o.lo, o.hi, 0, d)
 
   def center: Array[Double] = {
     val c = new Array[Double](d)
@@ -90,28 +65,54 @@ final case class BBox(lo: Array[Double], hi: Array[Double]) extends Serializable
   }
 }
 
+/** Box distances on flat arrays: a box is the `d` values at offset `b` of
+  * `lo` and of `hi` (m boxes of d values each), a point the `d` values at
+  * offset `off` of `xs`. The k-d tree, the cell index and the methods of
+  * `BBox` all call these. */
 object BBox {
-  /** Tight bounding box of a non-empty point set. */
-  def of(pts: Array[Pt]): BBox = {
-    require(pts.nonEmpty, "BBox.of: empty point set")
-    val d = pts(0).d
-    val lo = Array.fill(d)(Double.PositiveInfinity)
-    val hi = Array.fill(d)(Double.NegativeInfinity)
-    var i = 0
-    while (i < pts.length) {
-      val x = pts(i).x; var j = 0
-      while (j < d) {
-        if (x(j) < lo(j)) lo(j) = x(j)
-        if (x(j) > hi(j)) hi(j) = x(j)
-        j += 1
-      }
-      i += 1
+
+  /** Squared distance from the point to the nearest point of the box. */
+  def minSqDistTo(lo: Array[Double], hi: Array[Double], b: Int, d: Int,
+                  xs: Array[Double], off: Int): Double = {
+    var s = 0.0; var j = 0
+    while (j < d) {
+      val v = xs(off + j); val l = lo(b + j); val h = hi(b + j)
+      val t = if (v < l) l - v else if (v > h) v - h else 0.0
+      s += t * t; j += 1
     }
-    BBox(lo, hi)
+    s
   }
 
-  /** Tight bounding box of the points at positions `pos` (non-empty) of a
-    * flat coordinate array with `d` values per point. */
+  /** Squared distance from the point to the farthest point of the box. */
+  def maxSqDistTo(lo: Array[Double], hi: Array[Double], b: Int, d: Int,
+                  xs: Array[Double], off: Int): Double = {
+    var s = 0.0; var j = 0
+    while (j < d) {
+      val v = xs(off + j)
+      val t = math.max(math.abs(v - lo(b + j)), math.abs(v - hi(b + j)))
+      s += t * t; j += 1
+    }
+    s
+  }
+
+  /** Squared min distance between the box at `a` of (lo, hi) and the box at
+    * `b` of (lo2, hi2); 0 if they intersect. */
+  def sqDistBetween(lo: Array[Double], hi: Array[Double], a: Int,
+                    lo2: Array[Double], hi2: Array[Double], b: Int, d: Int): Double = {
+    var s = 0.0; var j = 0
+    while (j < d) {
+      val t =
+        if (hi(a + j) < lo2(b + j)) lo2(b + j) - hi(a + j)
+        else if (hi2(b + j) < lo(a + j)) lo(a + j) - hi2(b + j)
+        else 0.0
+      s += t * t; j += 1
+    }
+    s
+  }
+
+  /** Tight bounding box of the points at positions `pos` of a flat
+    * coordinate array with `d` values per point; no positions give the empty
+    * box (+∞, −∞). */
   def of(coords: Array[Double], d: Int, pos: Iterable[Int]): BBox = {
     val lo = Array.fill(d)(Double.PositiveInfinity)
     val hi = Array.fill(d)(Double.NegativeInfinity)

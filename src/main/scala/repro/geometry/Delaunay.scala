@@ -6,8 +6,8 @@ import scala.collection.mutable
   *
   * The paper (§4.4) uses PBBS's parallel randomized incremental DT; here the
   * triangulation itself is computed on the driver (it runs over *core points
-  * only* and is one of the six 2D cell-graph variants), while the subsequent
-  * edge filtering — the data-parallel part — runs in Spark. Points are
+  * only* and is one of the six 2D cell-graph variants), and so is the
+  * O(edges) filter that keeps the short cross-cell edges. Points are
   * inserted in Morton (Z-curve) order so the walk-based point location is
   * O(1) amortized, giving near-O(n log n) behaviour in practice.
   *

@@ -1,7 +1,7 @@
 package repro
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.core.{DBSCANResult, Pt}
+import repro.core.{CellIndex, DBSCANResult, Pt}
 
 import java.util.SplittableRandom
 
@@ -77,6 +77,14 @@ object TestUtil {
         (0 until d).map(j => StructField(s"x$j", DoubleType, nullable = false)))
     val rows = pts.map(p => org.apache.spark.sql.Row.fromSeq(p.id +: p.x.toSeq)).toSeq
     spark.createDataFrame(spark.sparkContext.parallelize(rows, 2), schema)
+  }
+
+  /** Catalyst-facing cell assignment: adds a `cell` array<int> column, to
+    * cross-check the grid against DuckDB's floor arithmetic. */
+  def assignCellsDF(df: DataFrame, cols: Seq[String], eps: Double): DataFrame = {
+    import org.apache.spark.sql.functions._
+    val side = CellIndex.sideFor(eps, cols.size)
+    df.withColumn("cell", array(cols.map(c => floor(col(c) / lit(side)).cast("int")): _*))
   }
 
   /** SQL predicate: dist(alias a, alias b) <= eps, over VARCHAR-stored cols. */

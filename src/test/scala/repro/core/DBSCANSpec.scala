@@ -95,6 +95,29 @@ class DBSCANSpec extends SparkSpec {
     assert(gotCore === (0 until 200).filter(want.isCore(_)).map(_.toLong).toSet)
   }
 
+  test("runDF accepts any unique id column and returns each row under its id") {
+    val pts = TestUtil.blobPts(200, 2, 2, 2.0, 30.0, 0.2, 17L)
+    // Caller ids 1000, 1003, ... assigned in a shuffled order.
+    val perm = new scala.util.Random(5).shuffle((0 until 200).toVector)
+    val callerId = (i: Int) => 1000L + 3 * perm(i)
+    val df = TestUtil.ptsDF(spark, pts.map(p => Pt(callerId(p.id.toInt), p.x)))
+    val out = DBSCAN.runDF(spark, df, Seq("x0", "x1"), DBSCANConfig.exact(2.5, 8))
+      .collect().map(r => r.getLong(0) -> (r.getBoolean(1), r.getSeq[Int](2).toArray)).toMap
+    assert(out.size === 200)
+    val rows = Array.tabulate(200)(i => out(callerId(i)))
+    val got = DBSCANResult(200, rows.map(_._1), rows.map(r => if (r._1) r._2(0) else -1),
+      rows.map(r => if (r._1) Array.empty[Int] else r._2), rows.flatMap(_._2).distinct.length,
+      RunStats(0, 0, 0, 0, GraphStats(0, 0, 0, 0, 0)))
+    TestUtil.assertSameClustering(got, NaiveDBSCAN.run(pts, 2.5, 8))
+  }
+
+  test("runDF rejects a duplicate id naming it") {
+    val pts = TestUtil.uniformPts(20, 2, 10.0, 18L).map(p => if (p.id == 9) Pt(4, p.x) else p)
+    val e = intercept[IllegalArgumentException](
+      DBSCAN.runDF(spark, TestUtil.ptsDF(spark, pts), Seq("x0", "x1"), DBSCANConfig.exact(2.5, 8)))
+    assert(e.getMessage.contains("duplicate id 4"), e.getMessage)
+  }
+
   test("every registered variant name round-trips through named and name") {
     for ((n, _) <- DBSCANConfig.variants) {
       val cfg = DBSCANConfig.named(n, 2.5, 8, 0.1).get

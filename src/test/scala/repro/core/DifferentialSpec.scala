@@ -1,0 +1,71 @@
+package repro.core
+
+import repro.{SparkSpec, TestUtil}
+import repro.baselines.{HpDbscan, NaiveDBSCAN, PdsDbscan}
+
+/** Every exact algorithm against the sequential reference on degenerate
+  * input: no or one point, duplicates, zero-width cells, cell centers that
+  * coincide, and pairs exactly ε apart, also far from the origin.
+  *
+  * The structured cases put points on an integer lattice of spacing ε, so
+  * every distance is 0, exactly ε, or at least ε√2 > ε(1 + ρ). There the
+  * ρ-approximate variants must equal the reference too; on random input
+  * only the exact ones must. */
+class DifferentialSpec extends SparkSpec {
+
+  private val eps = 2.0
+  private val minPts = 4
+
+  /** (name, run) of every algorithm that applies at dimension d. */
+  private def algorithms(d: Int, structured: Boolean): Seq[(String, Array[Pt] => DBSCANResult)] = {
+    val registered = DBSCANConfig.variants.map(_._1).filter { name =>
+      (d == 2 || !name.startsWith("our-2d")) && (structured || !name.startsWith("our-approx"))
+    }
+    registered.map { name =>
+      val cfg = DBSCANConfig.named(name, eps, minPts, 0.01).get
+      name -> ((pts: Array[Pt]) => DBSCAN.run(spark, spark.sparkContext.parallelize(pts.toSeq, 3), d, cfg))
+    } ++ Seq(
+      "pdsdbscan" -> ((pts: Array[Pt]) => PdsDbscan.run(spark, pts, eps, minPts)),
+      "hpdbscan" -> ((pts: Array[Pt]) => HpDbscan.run(spark, pts, eps, minPts)))
+  }
+
+  private def pts(xs: Seq[Array[Double]]): Array[Pt] = xs.zipWithIndex.map { case (x, i) => Pt(i, x) }.toArray
+
+  /** Groups of 1 to 5 duplicates on the sites of a 4^d lattice of spacing ε,
+    * shifted by `offset` in every coordinate: a site and its axis neighbors
+    * lie exactly ε apart. */
+  private def lattice(d: Int, offset: Double): Array[Pt] = pts(for {
+    site <- 0 until math.pow(4, d).toInt
+    _ <- 0 until 1 + site * 7 % 5
+  } yield Array.tabulate(d)(j => offset + eps * (site / math.pow(4, j).toInt % 4)))
+
+  private def cases(d: Int): Seq[(String, Array[Pt])] = {
+    val at = Array.fill(d)(0.5)
+    Seq(
+      "no points" -> Array.empty[Pt],
+      "one point" -> pts(Seq(at)),
+      "minPts - 1 duplicates" -> pts(Seq.fill(minPts - 1)(at)),
+      "50 duplicates and a point exactly eps away on an axis" ->
+        pts(Seq.fill(50)(at) :+ at.updated(0, 0.5 + eps)),
+      "duplicate groups exactly eps apart" -> lattice(d, 0.0),
+      "duplicate groups exactly eps apart, offset +1e8" -> lattice(d, 1e8),
+      "duplicate groups exactly eps apart, offset -1e8" -> lattice(d, -1e8),
+    )
+  }
+
+  private def check(name: String, run: Array[Pt] => DBSCANResult, input: Array[Pt]): Unit = {
+    val want = NaiveDBSCAN.run(input, eps, minPts)
+    try TestUtil.assertSameClustering(run(input), want)
+    catch { case e: Exception => fail(s"$name: ${e.getMessage}", e) }
+  }
+
+  for (d <- Seq(2, 3); (caseName, input) <- cases(d))
+    test(s"every algorithm == naive on $caseName, d=$d") {
+      for ((name, run) <- algorithms(d, structured = true)) check(name, run, input)
+    }
+
+  test("every exact grid algorithm == naive on random points, d=1") {
+    val input = TestUtil.uniformPts(300, 1, 60.0, 5L)
+    for ((name, run) <- algorithms(1, structured = false)) check(name, run, input)
+  }
+}

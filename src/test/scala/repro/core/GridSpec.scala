@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.{Oracle, SparkSpec, TestUtil}
+import repro.TestUtil.assignCellsDF
 
 /** Grid cell construction (paper §4.1) — DataFrame assignment vs DuckDB, and
   * the CellIndex invariants every later stage relies on. */
@@ -13,7 +14,7 @@ class GridSpec extends SparkSpec {
     val pts = TestUtil.uniformPts(300, d, 50.0, seed = d * 100 + eps.toInt)
     val df = TestUtil.ptsDF(spark, pts)
     val side = CellIndex.sideFor(eps, d)
-    val got = CellIndex.assignCellsDF(df, (0 until d).map(j => s"x$j"), eps)
+    val got = assignCellsDF(df, (0 until d).map(j => s"x$j"), eps)
       .selectExpr("id" +: (0 until d).map(j => s"cell[$j] as c$j"): _*)
     val cols = (0 until d).map(j => s"CAST(FLOOR(x$j::DOUBLE / $side) AS INT) AS c$j").mkString(", ")
     Oracle.assertEquivalent(got, s"SELECT id::BIGINT AS id, $cols FROM pts", "pts" -> df)

@@ -25,21 +25,35 @@ class KDTreeSpec extends AnyFunSuite {
       val r = rnd.nextDouble() * 60
       val want = brute(pts, q, r)
       assert(tree.countWithin(q, r) === want.length)
-      assert(tree.within(q, r).map(_.id).sorted.toSeq === want.map(_.id).sorted.toSeq)
+      assert(tree.within(q, r).sorted.toSeq === want.map(_.id.toInt).sorted.toSeq)
+    }
+    // Every point queried in place, at its offset of a flat copy of the set.
+    val flat = pts.flatMap(_.x)
+    for (i <- pts.indices; r <- Seq(0.0, 15.0)) {
+      val want = brute(pts, pts(i).x, r)
+      assert(tree.countWithin(flat, i * d, r) === want.length)
+      assert(tree.within(flat, i * d, r).sorted.toSeq === want.map(_.id.toInt).sorted.toSeq)
     }
   }
 
-  test("existsWithin respects predicate and radius") {
-    val pts = TestUtil.uniformPts(500, 2, 100.0, 7L)
+  test("an empty tree holds and finds nothing") {
+    for (tree <- Seq(KDTree.build(Array.empty[Pt]), KDTree.over(Array.empty[Double], 3, Array.empty[Int]))) {
+      assert(tree.size === 0)
+      assert(tree.countWithin(Array(0.0, 0.0, 0.0), 1e300) === 0)
+      assert(tree.within(Array(0.0, 0.0, 0.0), 1e300).isEmpty)
+    }
+  }
+
+  test("integer points exactly r apart are within r of each other") {
+    // A 9 x 9 lattice of spacing 2 with each site twice: its axis neighbors
+    // lie exactly r = 2 away, its diagonal ones 2√2 away.
+    val pts = Array.tabulate(162)(i => Pt(i, Array(2.0 * (i / 2 % 9), 2.0 * (i / 18))))
     val tree = KDTree.build(pts)
-    val rnd = new SplittableRandom(11)
-    for (_ <- 0 until 50) {
-      val q = Array.fill(2)(rnd.nextDouble() * 100)
-      val r = rnd.nextDouble() * 20
-      val wantAny = brute(pts, q, r).nonEmpty
-      assert(tree.existsWithin(q, r, _ => true) === wantAny)
-      val wantEven = brute(pts, q, r).exists(_.id % 2 == 0)
-      assert(tree.existsWithin(q, r, _.id % 2 == 0) === wantEven)
+    for (i <- pts.indices) {
+      val want = brute(pts, pts(i).x, 2.0)
+      assert(want.length >= 6) // the site and at least two axis neighbors
+      assert(tree.countWithin(pts(i).x, 2.0) === want.length)
+      assert(tree.within(pts(i).x, 2.0).sorted.toSeq === want.map(_.id.toInt).sorted.toSeq)
     }
   }
 
