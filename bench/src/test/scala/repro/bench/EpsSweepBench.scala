@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.experiments.{Experiments, Sweeps}
+import repro.experiments.Sweeps
 
 /** Paper Figure 6 (as a table): running time vs ε for d >= 3.
   *
@@ -11,12 +11,10 @@ import repro.experiments.{Experiments, Sweeps}
   */
 class EpsSweepBench extends BenchBase {
 
-  private lazy val (rows, dnf) = Sweeps.epsSweep(spark, scale, budgetMs)
+  private lazy val Sweeps.Outcome(rows, _, report) = Sweeps.epsSweep(spark, scale, budgetMs)
 
   test("figure 6 matrix") {
-    emit(Experiments.formatMatrix(
-      s"Figure 6 (scale=$scale): running time vs eps, seconds",
-      r => s"${r.dataset} eps=${r.eps}", _.method, rows, dnf))
+    emit(report)
     assert(rows.nonEmpty)
   }
 

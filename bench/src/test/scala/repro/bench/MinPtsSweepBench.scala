@@ -12,12 +12,10 @@ import repro.experiments.{Experiments, Sweeps}
   */
 class MinPtsSweepBench extends BenchBase {
 
-  private lazy val (rows, dnf) = Sweeps.minPtsSweep(spark, scale, budgetMs)
+  private lazy val Sweeps.Outcome(rows, dnf, report) = Sweeps.minPtsSweep(spark, scale, budgetMs)
 
   test("figure 7 matrix") {
-    emit(Experiments.formatMatrix(
-      s"Figure 7 (scale=$scale): running time vs minPts, seconds",
-      r => s"${r.dataset} minPts=${r.minPts}", _.method, rows, dnf))
+    emit(report)
     assert(rows.nonEmpty)
   }
 

@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.experiments.{Experiments, Sweeps}
+import repro.experiments.Sweeps
 
 /** Paper Figure 10 (as a table): running time vs ρ for the approximate
   * methods with the best exact method as the baseline.
@@ -12,10 +12,10 @@ import repro.experiments.{Experiments, Sweeps}
   */
 class RhoSweepBench extends BenchBase {
 
-  private lazy val rows = Sweeps.rhoSweep(spark, scale)
+  private lazy val Sweeps.Outcome(rows, _, report) = Sweeps.rhoSweep(spark, scale)
 
   test("figure 10 table") {
-    emit(Experiments.formatTable(s"Figure 10 (scale=$scale): running time vs rho", rows))
+    emit(report)
     assert(rows.nonEmpty)
   }
 

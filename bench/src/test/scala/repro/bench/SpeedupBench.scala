@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.experiments.{Experiments, Sweeps}
+import repro.experiments.Sweeps
 
 /** Paper Figures 8-9 (as a table): running time and self-relative speedup vs
   * parallelism. Spark partitions stand in for the paper's threads; local[*]
@@ -11,20 +11,10 @@ import repro.experiments.{Experiments, Sweeps}
   */
 class SpeedupBench extends BenchBase {
 
-  private lazy val rows = Sweeps.speedup(spark, scale)
+  private lazy val Sweeps.Outcome(rows, _, report) = Sweeps.speedup(spark, scale)
 
   test("figures 8-9 matrix and speedups") {
-    emit(Experiments.formatMatrix(
-      s"Figures 8-9 (scale=$scale): running time vs parallelism, seconds",
-      r => s"${r.dataset} p=${r.par}", _.method, rows))
-    val sb = new StringBuilder("\nSelf-relative speedup (T_1 / T_p):\n")
-    for (((ds, m), rs) <- rows.groupBy(r => (r.dataset, r.method)).toSeq.sortBy(_._1)) {
-      val t1 = rs.find(_.par == 1).map(_.ms.toDouble).getOrElse(Double.NaN)
-      sb.append(f"$ds%-16s $m%-14s ")
-      rs.sortBy(_.par).foreach(r => sb.append(f"p=${r.par}: ${t1 / r.ms}%.2fx  "))
-      sb.append("\n")
-    }
-    emit(sb.toString)
+    emit(report)
     assert(rows.nonEmpty)
   }
 

@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.experiments.{Experiments, Sweeps}
+import repro.experiments.Sweeps
 
 /** Paper Table 2: our-exact (bucketing on GeoLife) vs RP-DBSCAN on the four
   * large-dataset stand-ins, four ε values each, minPts = 100.
@@ -13,13 +13,10 @@ import repro.experiments.{Experiments, Sweeps}
   */
 class Table2Bench extends BenchBase {
 
-  private lazy val (rows, dnf) = Sweeps.table2(spark, scale, budgetMs)
+  private lazy val Sweeps.Outcome(rows, _, report) = Sweeps.table2(spark, scale, budgetMs)
 
   test("table 2 matrix") {
-    emit(Experiments.formatMatrix(
-      s"Table 2 (scale=$scale): large-scale datasets, parallel seconds",
-      r => s"${r.dataset} eps=${r.eps}", _.method, rows, dnf))
-    emit(Experiments.formatTable("Table 2 raw rows", rows))
+    emit(report)
     assert(rows.nonEmpty)
   }
 

@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.experiments.{Experiments, Sweeps}
+import repro.experiments.Sweeps
 
 /** Paper Figure 11 (as a table): the six 2D variants (grid/box ×
   * BCP/USEC/Delaunay) plus the pointwise baselines.
@@ -13,12 +13,10 @@ import repro.experiments.{Experiments, Sweeps}
   */
 class TwoDimBench extends BenchBase {
 
-  private lazy val (rows, dnf) = Sweeps.twoDim(spark, scale, budgetMs)
+  private lazy val Sweeps.Outcome(rows, _, report) = Sweeps.twoDim(spark, scale, budgetMs)
 
   test("figure 11 matrix") {
-    emit(Experiments.formatMatrix(
-      s"Figure 11 (scale=$scale): 2D variants, running time vs eps, seconds",
-      r => s"${r.dataset} eps=${r.eps}", _.method, rows, dnf))
+    emit(report)
     assert(rows.nonEmpty)
   }
 

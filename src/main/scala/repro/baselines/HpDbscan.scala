@@ -24,6 +24,7 @@ object HpDbscan {
           numSlabs0: Int = 0): DBSCANResult = {
     val sc = spark.sparkContext
     val n = pts.length
+    CellIndex.requireDense(n)(pts(_).id)
     val byId = new Array[Pt](n)
     pts.foreach(p => byId(p.id.toInt) = p)
     val numSlabs = if (numSlabs0 > 0) numSlabs0

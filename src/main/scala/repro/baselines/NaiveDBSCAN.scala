@@ -18,6 +18,7 @@ object NaiveDBSCAN {
 
   def run(pts: Array[Pt], eps: Double, minPts: Int): DBSCANResult = {
     val n = pts.length
+    CellIndex.requireDense(n)(pts(_).id)
     val byId = new Array[Pt](n)
     pts.foreach(p => byId(p.id.toInt) = p)
     val tree = KDTree.build(byId)

@@ -22,6 +22,7 @@ object PdsDbscan {
           par: Int = 0): DBSCANResult = {
     val sc = spark.sparkContext
     val n = pts.length
+    CellIndex.requireDense(n)(pts(_).id)
     val byId = new Array[Pt](n)
     pts.foreach(p => byId(p.id.toInt) = p)
     val bcPts = sc.broadcast(byId)

@@ -23,8 +23,13 @@ object RpDbscan {
 
   final case class CellInfo(count: Int, samples: Array[Pt])
 
-  def run(spark: SparkSession, points: RDD[Pt], d: Int, eps: Double, minPts: Int,
-          rho: Double = 0.01, maxSamples: Int = 16): DBSCANResult = {
+  /** Approximation slack: sampled pairs within ε(1 + Rho) connect cells. */
+  private val Rho = 0.01
+
+  /** Points sampled per cell, per partition and after the merge. */
+  private val MaxSamples = 16
+
+  def run(spark: SparkSession, points: RDD[Pt], d: Int, eps: Double, minPts: Int): DBSCANResult = {
     val sc = spark.sparkContext
     val side = CellIndex.sideFor(eps, d)
 
@@ -38,7 +43,7 @@ object RpDbscan {
         it.foreach { case (_, p) =>
           val k = CellIndex.gridKey(p.x, side)
           val e = local.getOrElseUpdate(k, (0, scala.collection.mutable.ArrayBuffer[Pt]()))
-          if (e._2.length < 16) e._2 += p
+          if (e._2.length < MaxSamples) e._2 += p
           local(k) = (e._1 + 1, e._2)
         }
         local.iterator.map { case (k, (c, s)) => (k, CellInfo(c, s.toArray)) }
@@ -46,7 +51,7 @@ object RpDbscan {
 
     // (3) dictionary merge — the shuffle the real system pays for.
     val merged = dicts.reduceByKey { (a, b) =>
-      CellInfo(a.count + b.count, (a.samples ++ b.samples).take(maxSamples))
+      CellInfo(a.count + b.count, (a.samples ++ b.samples).take(MaxSamples))
     }.collect()
 
     val m = merged.length
@@ -74,7 +79,7 @@ object RpDbscan {
     // (4b) cell graph from samples: connected when boxes touch or some
     // sample pair comes within ε(1+ρ).
     val uf = new UnionFind(m)
-    val epsOut = eps * (1 + rho)
+    val epsOut = eps * (1 + Rho)
     i = 0
     while (i < m) {
       if (isCoreCell(i)) {
@@ -102,22 +107,25 @@ object RpDbscan {
     val bcCoreCell = sc.broadcast(isCoreCell)
     val bcCellCluster = sc.broadcast(cellCluster)
     val bcNbr = sc.broadcast(cellNbrClusters)
-    val labeled = points.map { p =>
-      val c = bcKeyToId.value(CellIndex.gridKey(p.x, side))
-      if (bcCoreCell.value(c)) (p.id.toInt, true, Array(bcCellCluster.value(c)))
-      else (p.id.toInt, false, bcNbr.value(c))
-    }.collect()
+    try {
+      val labeled = points.map { p =>
+        val c = bcKeyToId.value(CellIndex.gridKey(p.x, side))
+        if (bcCoreCell.value(c)) (p.id, true, Array(bcCellCluster.value(c)))
+        else (p.id, false, bcNbr.value(c))
+      }.collect()
 
-    val n = labeled.length
-    val isCore = new Array[Boolean](n)
-    val cluster = Array.fill(n)(-1)
-    val border = Array.fill(n)(Array.empty[Int])
-    labeled.foreach { case (pid, core, cs) =>
-      if (core) { isCore(pid) = true; cluster(pid) = cs(0) }
-      else border(pid) = cs
-    }
-    Seq(bcKeyToId, bcCoreCell, bcCellCluster, bcNbr).foreach(_.destroy())
-    DBSCANResult(n, isCore, cluster, border, rootToCluster.size,
-      RunStats(0, 0, 0, 0, GraphStats(m, isCoreCell.count(identity), 0, 0, 0)))
+      val n = labeled.length
+      CellIndex.requireDense(n)(labeled(_)._1)
+      val isCore = new Array[Boolean](n)
+      val cluster = Array.fill(n)(-1)
+      val border = Array.fill(n)(Array.empty[Int])
+      labeled.foreach { case (id, core, cs) =>
+        val pid = id.toInt
+        if (core) { isCore(pid) = true; cluster(pid) = cs(0) }
+        else border(pid) = cs
+      }
+      DBSCANResult(n, isCore, cluster, border, rootToCluster.size,
+        RunStats(0, 0, 0, 0, GraphStats(m, isCoreCell.count(identity), 0, 0, 0)))
+    } finally Seq(bcKeyToId, bcCoreCell, bcCellCluster, bcNbr).foreach(_.destroy())
   }
 }

@@ -108,26 +108,23 @@ object CellIndex {
     * starts at the first point more than ε/√2 past the current strip start. */
   def box2d(points: RDD[Pt], eps: Double): CellIndex = {
     val side = sideFor(eps, 2)
-    val sc = points.sparkContext
-    // Strip boundaries from the sorted x-coordinates (driver scan over one
-    // primitive array — the O(n) sequential dependence the paper removes
-    // with pointer jumping; at single-node scale this scan is negligible).
-    val xs = points.map(p => checked(p, 2).x(0)).collect()
+    // Strip and per-strip y boundaries from the sorted coordinates (a driver
+    // scan over primitive arrays — the O(n) sequential dependence the paper
+    // removes with pointer jumping; at single-node scale it is negligible).
+    val xy = points.flatMap(p => checked(p, 2).x).collect()
+    val n = xy.length / 2
+    val xs = Array.tabulate(n)(i => xy(2 * i))
     java.util.Arrays.sort(xs)
-    val bcStrips = sc.broadcast(boundaries(xs, side))
-    try {
-      val strip = (p: Pt) => lastLeq(bcStrips.value, p.x(0))
-      // Per-strip y boundaries.
-      val yBounds = points
-        .map(p => (strip(p), p.x(1)))
-        .groupByKey()
-        .mapValues { ys => val a = ys.toArray; java.util.Arrays.sort(a); boundaries(a, side) }
-        .collect()
-        .toMap
-      val bcY = sc.broadcast(yBounds)
-      try build(points, eps, 2) { p => val s = strip(p); ArraySeq(s, lastLeq(bcY.value(s), p.x(1))) }
-      finally bcY.destroy()
-    } finally bcStrips.destroy()
+    val strips = boundaries(xs, side)
+    val ys = Array.fill(strips.length)(new mutable.ArrayBuilder.ofDouble)
+    for (i <- 0 until n) ys(lastLeq(strips, xy(2 * i))) += xy(2 * i + 1)
+    val yBounds = ys.map { b => val a = b.result(); java.util.Arrays.sort(a); boundaries(a, side) }
+    val bc = points.sparkContext.broadcast((strips, yBounds))
+    try build(points, eps, 2) { p =>
+      val (st, yb) = bc.value
+      val s = lastLeq(st, p.x(0))
+      ArraySeq(s, lastLeq(yb(s), p.x(1)))
+    } finally bc.destroy()
   }
 
   /** `p`, once it has an Int id and exactly `d` finite coordinates. */
@@ -182,7 +179,7 @@ object CellIndex {
       System.arraycopy(bb.lo, 0, lo, c * d, d)
       System.arraycopy(bb.hi, 0, hi, c * d, d)
     }
-    requireDense(ids)
+    requireDense(ids.length)(ids(_))
     val lists = neighborLists(points.sparkContext, lo, hi, d, eps)
     new CellIndex(eps, sideFor(eps, d), d, sizes, ids, coords, keys, lo, hi, lists.map(_.length), lists.flatten)
   }
@@ -213,16 +210,17 @@ object CellIndex {
     } finally bc.destroy()
   }
 
-  /** Every per-point array is indexed by id, so ids must be `[0, n)`, each
-    * once. */
-  private def requireDense(ids: Array[Int]): Unit = {
-    val seen = new java.util.BitSet(ids.length)
+  /** Every per-point array is indexed by id, so the ids `idAt(0 until n)`
+    * must be `[0, n)`, each once; throws naming the first bad id. Shared by
+    * the baselines, whose ids are the callers' `Long`s. */
+  private[repro] def requireDense(n: Int)(idAt: Int => Long): Unit = {
+    val seen = new java.util.BitSet(n)
     var i = 0
-    while (i < ids.length) {
-      val id = ids(i)
-      if (id < 0 || id >= ids.length || seen.get(id)) throw new IllegalArgumentException(
-        s"point id $id: ids must be dense in [0, ${ids.length}) and unique")
-      seen.set(id)
+    while (i < n) {
+      val id = idAt(i)
+      if (id < 0 || id >= n || seen.get(id.toInt)) throw new IllegalArgumentException(
+        s"point id $id: ids must be dense in [0, $n) and unique")
+      seen.set(id.toInt)
       i += 1
     }
   }

@@ -8,8 +8,8 @@ import repro.core._
 import repro.data.SpatialData
 
 /** Shared harness for the paper's evaluation section: datasets with default
-  * parameters, method registry, timed runs, and table formatting. Used by
-  * both the spark-submit entrypoints in `jobs/` and the `bench/` suites. */
+  * parameters, method registry, timed runs, and table formatting. The
+  * experiments themselves are in [[Sweeps]]. */
 object Experiments {
 
   /** One benchmark dataset: paper dataset (or its stand-in) at reduced n. */
@@ -61,17 +61,19 @@ object Experiments {
     case other => throw new IllegalArgumentException(s"unknown dataset $other")
   }
 
-  /** One timed run. `ms < 0` (DNF) never occurs here — callers impose budgets
-    * by skipping methods that blew them previously. */
+  /** One timed run, with the run's own per-phase stats. `ms < 0` (DNF) never
+    * occurs here — callers impose budgets by skipping methods that blew them
+    * previously. */
   final case class RunRow(dataset: String, method: String, eps: Double, minPts: Int,
                           par: Int, ms: Long, clusters: Int, corePct: Double,
-                          noisePct: Double, queriesRun: Long, candidatePairs: Long)
+                          noisePct: Double, stats: RunStats) {
+    def queriesRun: Long = stats.graph.queriesRun
+  }
 
   private def summarize(ds: Dataset, method: String, eps: Double, minPts: Int, par: Int,
                         ms: Long, r: DBSCANResult): RunRow =
     RunRow(ds.name, method, eps, minPts, par, ms, r.numClusters,
-      100.0 * r.numCore / r.n, 100.0 * r.numNoise / r.n,
-      r.stats.graph.queriesRun, r.stats.graph.candidatePairs)
+      100.0 * r.numCore / r.n, 100.0 * r.numNoise / r.n, r.stats)
 
   /** All high-dimensional method names (paper §7.1). */
   val highDimMethods: Seq[String] = Seq(

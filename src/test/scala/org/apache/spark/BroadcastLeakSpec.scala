@@ -4,6 +4,7 @@ import org.apache.spark.storage.BroadcastBlockId
 import org.scalatest.concurrent.Eventually._
 import org.scalatest.time.SpanSugar._
 import repro.{SparkSpec, TestUtil}
+import repro.baselines.RpDbscan
 import repro.core._
 
 /** A DBSCAN call must not leave broadcasts behind in a long-lived session:
@@ -73,6 +74,13 @@ class BroadcastLeakSpec extends SparkSpec {
       intercept[IllegalArgumentException] {
         DBSCAN.run(spark, spark.sparkContext.parallelize(pts3d.toSeq, 4), 3, cfg)
       }
+    }
+  }
+
+  test("an RpDbscan run that rejects its ids still destroys its label broadcasts") {
+    val badIds = pts2d.map(p => if (p.id == 7) Pt(pts2d.length + 5, p.x) else p)
+    assertNoLeak {
+      intercept[Exception](RpDbscan.run(spark, spark.sparkContext.parallelize(badIds.toSeq, 4), 2, 3.0, 5))
     }
   }
 }

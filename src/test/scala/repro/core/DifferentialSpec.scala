@@ -1,5 +1,7 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test => SCTest}
+import org.scalacheck.rng.Seed
 import repro.{SparkSpec, TestUtil}
 import repro.baselines.{HpDbscan, NaiveDBSCAN, PdsDbscan}
 
@@ -10,7 +12,8 @@ import repro.baselines.{HpDbscan, NaiveDBSCAN, PdsDbscan}
   * The structured cases put points on an integer lattice of spacing ε, so
   * every distance is 0, exactly ε, or at least ε√2 > ε(1 + ρ). There the
   * ρ-approximate variants must equal the reference too; on random input
-  * only the exact ones must. */
+  * only the exact ones must. Generated inputs put coordinates on cell
+  * boundaries off the integer lattice. */
 class DifferentialSpec extends SparkSpec {
 
   private val eps = 2.0
@@ -62,6 +65,31 @@ class DifferentialSpec extends SparkSpec {
   for (d <- Seq(2, 3); (caseName, input) <- cases(d))
     test(s"every algorithm == naive on $caseName, d=$d") {
       for ((name, run) <- algorithms(d, structured = true)) check(name, run, input)
+    }
+
+  /** Up to 80 points whose coordinates are multiples of the cell side ε/√d
+    * (points on cell boundaries, at distances such as exactly ε) or uniform,
+    * with up to 20 of them repeated, in random order. */
+  private def generated(d: Int): Gen[List[List[Double]]] = {
+    val side = CellIndex.sideFor(eps, d)
+    val coord = Gen.oneOf(Gen.choose(-4, 4).map(_ * side), Gen.choose(-4 * side, 4 * side))
+    for {
+      fresh <- Gen.choose(1, 60).flatMap(Gen.listOfN(_, Gen.listOfN(d, coord)))
+      copies <- Gen.choose(0, 20).flatMap(Gen.listOfN(_, Gen.oneOf(fresh)))
+      seed <- Gen.long
+    } yield new scala.util.Random(seed).shuffle(fresh ++ copies)
+  }
+
+  for (d <- Seq(2, 3))
+    test(s"every exact algorithm == naive on generated points, d=$d") {
+      val prop = Prop.forAllNoShrink(generated(d)) { xs =>
+        val input = pts(xs.map(_.toArray))
+        for ((name, run) <- algorithms(d, structured = false)) check(name, run, input)
+        true
+      }
+      val params = SCTest.Parameters.default.withMinSuccessfulTests(8).withInitialSeed(Seed(20200614L + d))
+      val res = SCTest.check(params, prop)
+      assert(res.passed, res.status)
     }
 
   test("every exact grid algorithm == naive on random points, d=1") {

@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.{SparkSpec, TestUtil}
+import repro.baselines.{HpDbscan, NaiveDBSCAN, PdsDbscan, RpDbscan}
 
 /** Input the pipeline cannot cluster correctly must be rejected up front with
   * a message naming the offending point or parameter, never clustered wrongly
@@ -59,6 +60,21 @@ class InputContractSpec extends SparkSpec {
     val e = intercept[IllegalArgumentException](run(pts, 2))
     assert(e.getMessage.contains("point id 1"))
   }
+
+  private val baselines: Seq[(String, Array[Pt] => DBSCANResult)] = Seq(
+    "NaiveDBSCAN" -> (pts => NaiveDBSCAN.run(pts, 2.0, 3)),
+    "PdsDbscan" -> (pts => PdsDbscan.run(spark, pts, 2.0, 3)),
+    "HpDbscan" -> (pts => HpDbscan.run(spark, pts, 2.0, 3)),
+    "RpDbscan" -> (pts => RpDbscan.run(spark, spark.sparkContext.parallelize(pts.toSeq, 2), 2, 2.0, 3)))
+
+  // The last id set wraps to the missing id 2 under `toInt`.
+  for ((name, run) <- baselines; (ids, bad) <- Seq(
+      (Seq(0L, 1L, 5L), 5L), (Seq(0L, 1L, 1L), 1L), (Seq(0L, 1L, (1L << 32) + 2), (1L << 32) + 2)))
+    test(s"$name rejects ids ${ids.mkString("{", ", ", "}")} naming id $bad") {
+      val pts = ids.zipWithIndex.map { case (id, i) => Pt(id, Array(i.toDouble, 0.0)) }.toArray
+      val e = intercept[IllegalArgumentException](run(pts))
+      assert(e.getMessage.contains(s"point id $bad:"), e.getMessage)
+    }
 
   test("eps must be finite and positive") {
     for (eps <- Seq(0.0, -1.0, Double.NaN, Double.PositiveInfinity))

@@ -1,6 +1,7 @@
 package repro.experiments
 
 import repro.SparkSpec
+import repro.core.{GraphStats, RunStats}
 
 /** The experiment harness itself: registry sanity, runner correctness on a
   * tiny workload, formatting output. */
@@ -65,9 +66,10 @@ class ExperimentsSpec extends SparkSpec {
   }
 
   test("formatTable and formatMatrix render every row") {
+    def stats(queries: Long) = RunStats(0, 0, 0, 0, GraphStats(0, 0, 9, queries, 0))
     val rows = Seq(
-      Experiments.RunRow("dsA", "m1", 1.0, 10, 0, 100, 3, 50.0, 10.0, 5, 9),
-      Experiments.RunRow("dsA", "m2", 1.0, 10, 0, 250, 3, 50.0, 10.0, 2, 9))
+      Experiments.RunRow("dsA", "m1", 1.0, 10, 0, 100, 3, 50.0, 10.0, stats(5)),
+      Experiments.RunRow("dsA", "m2", 1.0, 10, 0, 250, 3, 50.0, 10.0, stats(2)))
     val t = Experiments.formatTable("T", rows)
     assert(t.contains("dsA") && t.contains("m1") && t.contains("m2"))
     val m = Experiments.formatMatrix("M", _.dataset, _.method, rows, Set(("dsB", "m1")))
