@@ -23,10 +23,8 @@ object HpDbscan {
   def run(spark: SparkSession, pts: Array[Pt], eps: Double, minPts: Int,
           numSlabs0: Int = 0): DBSCANResult = {
     val sc = spark.sparkContext
-    val n = pts.length
-    CellIndex.requireDense(n)(pts(_).id)
-    val byId = new Array[Pt](n)
-    pts.foreach(p => byId(p.id.toInt) = p)
+    val byId = CellIndex.byId(pts, eps, minPts)
+    val n = byId.length
     val numSlabs = if (numSlabs0 > 0) numSlabs0
       else math.max(1, math.min(sc.defaultParallelism * 2, n / 2048))
 
@@ -95,23 +93,13 @@ object HpDbscan {
     }
     val uf = new UnionFind(n)
     mergePairs.foreach { case (i, r) => uf.union(i, r) }
-
-    val rootToCluster = scala.collection.mutable.HashMap[Int, Int]()
-    val cluster = Array.fill(n)(-1)
-    var i = 0
-    while (i < n) {
-      if (isCore(i)) {
-        val r = uf.find(i)
-        cluster(i) = rootToCluster.getOrElseUpdate(r, rootToCluster.size)
-      }
-      i += 1
-    }
+    val (cluster, numClusters) = uf.labels(isCore(_))
     val border = Array.fill(n)(Array.empty[Int])
     borderReps.groupBy(_._1).foreach { case (pid, reps) =>
       border(pid) = reps.map(r => cluster(r._2)).distinct.sorted
     }
     bcCore.destroy()
-    DBSCANResult(n, isCore, cluster, border, rootToCluster.size,
+    DBSCANResult(n, isCore, cluster, border, numClusters,
       RunStats(0, 0, 0, 0, GraphStats(0, 0, 0, 0, 0)))
   }
 }

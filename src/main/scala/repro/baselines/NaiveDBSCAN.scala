@@ -17,10 +17,8 @@ import repro.geometry.KDTree
 object NaiveDBSCAN {
 
   def run(pts: Array[Pt], eps: Double, minPts: Int): DBSCANResult = {
-    val n = pts.length
-    CellIndex.requireDense(n)(pts(_).id)
-    val byId = new Array[Pt](n)
-    pts.foreach(p => byId(p.id.toInt) = p)
+    val byId = CellIndex.byId(pts, eps, minPts)
+    val n = byId.length
     val tree = KDTree.build(byId)
 
     val isCore = new Array[Boolean](n)

@@ -21,10 +21,8 @@ object PdsDbscan {
   def run(spark: SparkSession, pts: Array[Pt], eps: Double, minPts: Int,
           par: Int = 0): DBSCANResult = {
     val sc = spark.sparkContext
-    val n = pts.length
-    CellIndex.requireDense(n)(pts(_).id)
-    val byId = new Array[Pt](n)
-    pts.foreach(p => byId(p.id.toInt) = p)
+    val byId = CellIndex.byId(pts, eps, minPts)
+    val n = byId.length
     val bcPts = sc.broadcast(byId)
     val bcTree = sc.broadcast(KDTree.build(byId))
     val parts = repro.core.Par.parts(n / 256 + 1, repro.core.Par.threads(sc, par))
@@ -54,17 +52,7 @@ object PdsDbscan {
     val uf = new UnionFind(n)
     merged.foreach { case (i, r) => uf.union(i, r) }
 
-    // Densify cluster ids over core roots.
-    val rootToCluster = scala.collection.mutable.HashMap[Int, Int]()
-    val cluster = Array.fill(n)(-1)
-    var i = 0
-    while (i < n) {
-      if (isCore(i)) {
-        val r = uf.find(i)
-        cluster(i) = rootToCluster.getOrElseUpdate(r, rootToCluster.size)
-      }
-      i += 1
-    }
+    val (cluster, numClusters) = uf.labels(isCore(_))
     val bcCluster = sc.broadcast(cluster)
 
     // Pass 3: border assignment via pointwise queries.
@@ -81,7 +69,7 @@ object PdsDbscan {
     }.collect().foreach { case (pid, cs) => border(pid) = cs }
 
     Seq(bcPts, bcTree, bcCore, bcCluster).foreach(_.destroy())
-    DBSCANResult(n, isCore, cluster, border, rootToCluster.size,
+    DBSCANResult(n, isCore, cluster, border, numClusters,
       RunStats(0, 0, 0, 0, GraphStats(0, 0, 0, 0, 0)))
   }
 }

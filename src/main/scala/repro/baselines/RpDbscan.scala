@@ -31,6 +31,7 @@ object RpDbscan {
 
   def run(spark: SparkSession, points: RDD[Pt], d: Int, eps: Double, minPts: Int): DBSCANResult = {
     val sc = spark.sparkContext
+    DBSCANConfig.requireParams(eps, minPts)
     val side = CellIndex.sideFor(eps, d)
 
     // (1)+(2) random partitioning, then per-partition cell dictionaries.
@@ -41,7 +42,8 @@ object RpDbscan {
       .mapPartitions { it =>
         val local = scala.collection.mutable.HashMap[Seq[Int], (Int, scala.collection.mutable.ArrayBuffer[Pt])]()
         it.foreach { case (_, p) =>
-          val k = CellIndex.gridKey(p.x, side)
+          // The ids are checked on the driver, once the labels are in.
+          val k = CellIndex.gridKey(CellIndex.checked(p, d, intId = false).x, side)
           val e = local.getOrElseUpdate(k, (0, scala.collection.mutable.ArrayBuffer[Pt]()))
           if (e._2.length < MaxSamples) e._2 += p
           local(k) = (e._1 + 1, e._2)
@@ -94,10 +96,7 @@ object RpDbscan {
       }
       i += 1
     }
-    val rootToCluster = scala.collection.mutable.HashMap[Int, Int]()
-    val cellCluster = Array.tabulate(m) { c =>
-      if (isCoreCell(c)) rootToCluster.getOrElseUpdate(uf.find(c), rootToCluster.size) else -1
-    }
+    val (cellCluster, numClusters) = uf.labels(isCoreCell(_))
     val cellNbrClusters = Array.tabulate(m) { c =>
       (nbrs(c) :+ c).filter(isCoreCell).map(j => cellCluster(j)).distinct.sorted
     }
@@ -124,7 +123,7 @@ object RpDbscan {
         if (core) { isCore(pid) = true; cluster(pid) = cs(0) }
         else border(pid) = cs
       }
-      DBSCANResult(n, isCore, cluster, border, rootToCluster.size,
+      DBSCANResult(n, isCore, cluster, border, numClusters,
         RunStats(0, 0, 0, 0, GraphStats(m, isCoreCell.count(identity), 0, 0, 0)))
     } finally Seq(bcKeyToId, bcCoreCell, bcCellCluster, bcNbr).foreach(_.destroy())
   }

@@ -10,11 +10,11 @@ import repro.geometry.KDTree
   *
   * Laid out as the paper's semisort leaves it: the points permuted into cell
   * order, so cell c owns positions `[start(c), start(c+1))` of `ids` and of
-  * `coords` (d values per point). Per cell, d values each of `cellKeys`,
-  * `cellLo` and `cellHi` hold its integer key and tight bounding box, and
-  * `nbrs[nbrStart(c), nbrStart(c+1))` lists its *neighboring* cells — cells
-  * whose boxes are within ε, the only ones that can contain points within ε
-  * of this cell's points. The index stores per-cell counts and derives the
+  * `coords` (d values per point). Per cell, d values each of `cellLo` and
+  * `cellHi` hold its tight bounding box, and `nbrs[nbrStart(c),
+  * nbrStart(c+1))` lists its *neighboring* cells — cells whose boxes are
+  * within ε, the only ones that can contain points within ε of this cell's
+  * points. The cell keys only group the points and are not kept. The index stores per-cell counts and derives the
   * two offset arrays once per JVM: counts compress to a third of the size of
   * offsets under Spark's broadcast codec.
   *
@@ -37,7 +37,6 @@ final class CellIndex(
     val cellSizes: Array[Int],
     val ids: Array[Int],
     val coords: Array[Double],
-    val cellKeys: Array[Int],
     val cellLo: Array[Double],
     val cellHi: Array[Double],
     val nbrCounts: Array[Int],
@@ -51,7 +50,6 @@ final class CellIndex(
   def n: Long = ids.length
   def numCells: Int = cellSizes.length
   def size(c: Int): Int = cellSizes(c)
-  def keys(c: Int): Vector[Int] = cellKeys.slice(c * d, c * d + d).toVector
   def tightLo(c: Int): Array[Double] = cellLo.slice(c * d, c * d + d)
   def tightHi(c: Int): Array[Double] = cellHi.slice(c * d, c * d + d)
   def bbox(c: Int): BBox = BBox(tightLo(c), tightHi(c))
@@ -127,10 +125,11 @@ object CellIndex {
     } finally bc.destroy()
   }
 
-  /** `p`, once it has an Int id and exactly `d` finite coordinates. */
-  private def checked(p: Pt, d: Int): Pt = {
+  /** `p`, once it has exactly `d` finite coordinates and, with `intId`, an
+    * Int id. Shared by the baselines. */
+  private[repro] def checked(p: Pt, d: Int, intId: Boolean = true): Pt = {
     val x = p.x
-    var ok = p.id.isValidInt && x.length == d
+    var ok = (!intId || p.id.isValidInt) && x.length == d
     var j = 0
     while (ok && j < d) { ok = java.lang.Double.isFinite(x(j)); j += 1 }
     if (!ok) throw new IllegalArgumentException(
@@ -167,12 +166,10 @@ object CellIndex {
     val start = sizes.scanLeft(0)(_ + _)
     val ids = new Array[Int](start(m))
     val coords = new Array[Double](start(m) * d)
-    val keys = new Array[Int](m * d)
     val lo = new Array[Double](m * d)
     val hi = new Array[Double](m * d)
     for (c <- 0 until m) {
-      val (k, (is, cs)) = grouped(c)
-      k.copyToArray(keys, c * d)
+      val (is, cs) = grouped(c)._2
       System.arraycopy(is, 0, ids, start(c), is.length)
       System.arraycopy(cs, 0, coords, start(c) * d, cs.length)
       val bb = BBox.of(cs, d, is.indices)
@@ -181,7 +178,7 @@ object CellIndex {
     }
     requireDense(ids.length)(ids(_))
     val lists = neighborLists(points.sparkContext, lo, hi, d, eps)
-    new CellIndex(eps, sideFor(eps, d), d, sizes, ids, coords, keys, lo, hi, lists.map(_.length), lists.flatten)
+    new CellIndex(eps, sideFor(eps, d), d, sizes, ids, coords, lo, hi, lists.map(_.length), lists.flatten)
   }
 
   /** For each of the m boxes that are the `d` values at offset c·d of `lo`
@@ -223,6 +220,18 @@ object CellIndex {
       seen.set(id.toInt)
       i += 1
     }
+  }
+
+  /** The checks `DBSCAN.run` makes, for the baselines that take the points
+    * as an array: valid ε and minPts, dense ids, and the first point's
+    * arity and finite coordinates for every point. Returns the points in id
+    * order. */
+  private[repro] def byId(pts: Array[Pt], eps: Double, minPts: Int): Array[Pt] = {
+    DBSCANConfig.requireParams(eps, minPts)
+    requireDense(pts.length)(pts(_).id)
+    val out = new Array[Pt](pts.length)
+    pts.foreach(p => out(p.id.toInt) = checked(p, pts(0).d))
+    out
   }
 
   /** Starts of consecutive intervals of width `side` over sorted values. */

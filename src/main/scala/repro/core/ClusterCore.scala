@@ -16,7 +16,8 @@ final case class GraphStats(
 /** Parallel ClusterCore (paper Alg. 3).
   *
   * Builds the cell graph — an edge between neighboring core cells whose core
-  * points come within ε — and returns each cell's connected component.
+  * points come within ε — and returns each cell's connected component as a
+  * dense cluster id.
   *
   * Connectivity *queries* are evaluated in parallel in Spark; the union-find
   * over the (small) cell graph lives on the driver. Pairs already in the same
@@ -28,7 +29,8 @@ final case class GraphStats(
   */
 object ClusterCore {
 
-  /** Returns (component id per cell, -1 for non-core cells; stats). */
+  /** Returns (cluster id per cell, dense in [0, k) in cell order, -1 for
+    * non-core cells; stats). */
   def run(sc: SparkContext, bcIdx: Broadcast[CellIndex], bcFlags: Broadcast[Array[Boolean]],
           bcCtx: Broadcast[ConnCtx], method: GraphMethod, bucketing: Boolean,
           numBuckets: Int = DBSCANConfig.DefaultBuckets, par: Int = 0): (Array[Int], GraphStats) = {
@@ -36,7 +38,7 @@ object ClusterCore {
     val ctx = bcCtx.value
     val m = idx.numCells
     val p = Par.threads(sc, par)
-    method match {
+    val (uf, stats) = method match {
       case DelaunayGraph => runDelaunay(idx, bcFlags.value, ctx)
       case _ =>
         // Rank core cells by core count, descending (paper's SortBySize).
@@ -96,9 +98,9 @@ object ClusterCore {
             }
           }
         }
-        val comp = Array.tabulate(m)(c => if (ctx.coreCount(c) > 0) uf.find(c) else -1)
-        (comp, GraphStats(m, coreCells.length, candidate, run, edges))
+        (uf, GraphStats(m, coreCells.length, candidate, run, edges))
     }
+    (uf.labels(ctx.coreCount(_) > 0)._1, stats)
   }
 
   /** Delaunay-triangulation cell graph (2D): triangulate all core points on
@@ -106,7 +108,7 @@ object ClusterCore {
     * different cells — each links two cells. Filtering is O(edges) arithmetic,
     * so it runs on the driver too. */
   private def runDelaunay(idx: CellIndex, flags: Array[Boolean],
-                          ctx: ConnCtx): (Array[Int], GraphStats) = {
+                          ctx: ConnCtx): (UnionFind, GraphStats) = {
     require(idx.d == 2, "Delaunay cell graph is 2D-only")
     val m = idx.numCells
     // Gather core points (positions in cell order) with their cell ids.
@@ -126,8 +128,7 @@ object ClusterCore {
         uf.union(cellOf(a), cellOf(b))
       }
     }
-    val comp = Array.tabulate(m)(c => if (ctx.coreCount(c) > 0) uf.find(c) else -1)
     val numCoreCells = (0 until m).count(ctx.coreCount(_) > 0)
-    (comp, GraphStats(m, numCoreCells, dt.length, dt.length, linked.size))
+    (uf, GraphStats(m, numCoreCells, dt.length, dt.length, linked.size))
   }
 }

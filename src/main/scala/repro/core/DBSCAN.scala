@@ -18,8 +18,7 @@ final case class DBSCANConfig(
     bucketing: Boolean = false,
     parallelism: Int = 0, // 0 = sc.defaultParallelism; the "thread count" knob
 ) {
-  require(eps > 0 && !eps.isInfinite, s"eps must be finite and > 0, got $eps")
-  require(minPts >= 1, s"minPts must be >= 1, got $minPts")
+  DBSCANConfig.requireParams(eps, minPts)
 
   /** Bucket count of the bucketing optimization; one value is in use. */
   def numBuckets: Int = DBSCANConfig.DefaultBuckets
@@ -37,6 +36,12 @@ final case class DBSCANConfig(
 object DBSCANConfig {
   /** Bucket count of the bucketing optimization (paper §4.4). */
   private[core] final val DefaultBuckets = 8
+
+  /** The ε and minPts every algorithm accepts, the baselines included. */
+  private[repro] def requireParams(eps: Double, minPts: Int): Unit = {
+    require(eps > 0 && !eps.isInfinite, s"eps must be finite and > 0, got $eps")
+    require(minPts >= 1, s"minPts must be >= 1, got $minPts")
+  }
 
   /** our-exact: scan-based MarkCore + BCP cell graph. */
   def exact(eps: Double, minPts: Int): DBSCANConfig = DBSCANConfig(eps, minPts)
@@ -114,10 +119,12 @@ object Par {
   private[repro] def threads(sc: SparkContext, par: Int): Int =
     if (par > 0) par else sc.defaultParallelism
 
-  /** The parallel loop over cells that every phase of paper Alg. 1 is: runs
-    * `f` on each cell id as one Spark job with `parts(cells.length, par)`
-    * partitions and returns what it emits, in input order. `f` may emit any
-    * number of results per cell. No job runs for an empty cell list. */
+  /** The parallel loop over cells of the neighbor search, MarkCore, the
+    * ConnCtx build and ClusterBorder: runs `f` on each cell id as one Spark
+    * job with `parts(cells.length, par)` partitions and returns what it
+    * emits, in input order. `f` may emit any number of results per cell. No
+    * job runs for an empty cell list. (ClusterCore's owners ship their
+    * candidate lists, so it runs its own job per bucket.) */
   private[core] def perCell[T: ClassTag](sc: SparkContext, cells: Seq[Int], par: Int)(
       f: Int => IterableOnce[T]): Array[T] =
     if (cells.isEmpty) Array.empty[T]
@@ -154,13 +161,9 @@ object DBSCAN {
 
       t0 = System.nanoTime()
       val bcCtx = share(ConnCtx.build(sc, bcIdx, bcFlags, cfg.graphMethod, par))
-      val (comp, gStats) =
+      val (cellCluster, gStats) =
         ClusterCore.run(sc, bcIdx, bcFlags, bcCtx, cfg.graphMethod, cfg.bucketing,
           cfg.numBuckets, par)
-      // Densify component ids into cluster ids.
-      val compIds = comp.filter(_ >= 0).distinct.sorted
-      val compToCluster = compIds.zipWithIndex.toMap
-      val cellCluster = comp.map(c => if (c >= 0) compToCluster(c) else -1)
       val bcCellCluster = share(cellCluster)
       val coreMs = (System.nanoTime() - t0) / 1000000
 
@@ -182,7 +185,7 @@ object DBSCAN {
         }
         c += 1
       }
-      DBSCANResult(n, flags, coreCluster, border, compIds.length,
+      DBSCANResult(n, flags, coreCluster, border, cellCluster.maxOption.fold(0)(_ + 1),
         RunStats(gridMs, markMs, coreMs, borderMs, gStats))
     } finally shared.foreach(_.destroy())
   }

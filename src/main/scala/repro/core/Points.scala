@@ -22,9 +22,6 @@ object Dist {
     s
   }
 
-  /** Euclidean distance. */
-  def apply(a: Array[Double], b: Array[Double]): Double = math.sqrt(sq(a, b))
-
   /** `d(a,b) <= eps` with an early exit once the partial sum exceeds eps^2. */
   def leq(a: Array[Double], b: Array[Double], eps: Double): Boolean = leq(a, 0, b, 0, a.length, eps)
 
@@ -46,17 +43,9 @@ object Dist {
 final case class BBox(lo: Array[Double], hi: Array[Double]) extends Serializable {
   def d: Int = lo.length
 
-  /** Squared distance from `p` to the nearest point of the box (0 if inside). */
-  def minSqDistTo(p: Array[Double]): Double = minSqDistTo(p, 0)
-
-  /** The same for the point at offset `off` of a flat coordinate array. */
+  /** Squared distance from the point at offset `off` of a flat coordinate
+    * array to the nearest point of the box (0 if inside). */
   def minSqDistTo(xs: Array[Double], off: Int): Double = BBox.minSqDistTo(lo, hi, 0, d, xs, off)
-
-  /** Squared distance from `p` to the farthest point of the box. */
-  def maxSqDistTo(p: Array[Double]): Double = BBox.maxSqDistTo(lo, hi, 0, d, p, 0)
-
-  /** Squared min distance between two boxes (0 if they intersect). */
-  def minSqDist(o: BBox): Double = BBox.sqDistBetween(lo, hi, 0, o.lo, o.hi, 0, d)
 
   def center: Array[Double] = {
     val c = new Array[Double](d)
@@ -67,8 +56,8 @@ final case class BBox(lo: Array[Double], hi: Array[Double]) extends Serializable
 
 /** Box distances on flat arrays: a box is the `d` values at offset `b` of
   * `lo` and of `hi` (m boxes of d values each), a point the `d` values at
-  * offset `off` of `xs`. The k-d tree, the cell index and the methods of
-  * `BBox` all call these. */
+  * offset `off` of `xs`. The k-d tree, the cell index and `BBox`'s
+  * `minSqDistTo` all call these. */
 object BBox {
 
   /** Squared distance from the point to the nearest point of the box. */

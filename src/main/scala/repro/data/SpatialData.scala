@@ -1,8 +1,7 @@
 package repro.data
 
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.types._
+import org.apache.spark.sql.SparkSession
 import repro.core.Pt
 
 import java.util.SplittableRandom
@@ -167,17 +166,5 @@ object SpatialData {
       val rnd = new SplittableRandom(seed * 123457L + c)
       (s until e).iterator.map(i => Pt(i, Array.fill(d)(rnd.nextDouble() * 100.0)))
     }
-  }
-
-  /** Small driver-side sample of any generator (for tests). */
-  def collect(rdd: RDD[Pt]): Array[Pt] = rdd.collect().sortBy(_.id)
-
-  /** Points as a DataFrame (id, x0..x{d-1}) — the Catalyst-facing view used
-    * by the DataFrame cell-assignment step and the DuckDB oracle. */
-  def toDF(spark: SparkSession, pts: RDD[Pt], d: Int): DataFrame = {
-    val schema = StructType(
-      StructField("id", LongType, nullable = false) +:
-        (0 until d).map(j => StructField(s"x$j", DoubleType, nullable = false)))
-    spark.createDataFrame(pts.map(p => Row.fromSeq(p.id +: p.x.toSeq)), schema)
   }
 }

@@ -94,8 +94,7 @@ object Experiments {
       case Some(cfg) => DBSCAN.run(spark, w.rdd, w.ds.d, cfg)
       case None => method match {
         case "pdsdbscan" => PdsDbscan.run(spark, w.pts, eps, minPts, par)
-        case "hpdbscan"  => HpDbscan.run(spark, w.pts, eps, minPts,
-          if (par > 0) par else spark.sparkContext.defaultParallelism * 2)
+        case "hpdbscan"  => HpDbscan.run(spark, w.pts, eps, minPts, par)
         case "rpdbscan"  => RpDbscan.run(spark, w.rdd, w.ds.d, eps, minPts)
         case "serial-naive" => NaiveDBSCAN.run(w.pts, eps, minPts)
         case other => throw new IllegalArgumentException(s"unknown method $other")

@@ -7,7 +7,7 @@ import repro.core.Pt
   *
   * The root covers the cell's hypercube of side `ε/√d`; each node splits
   * into up to 2^d equal sub-cells (only non-empty children materialize).
-  * Construction stops at `leafSize` points, or — for the approximate tree —
+  * Construction stops at `LeafSize` points, or — for the approximate tree —
   * once the side length drops to `minSide = ρ·ε/√d` (paper depth bound
   * `l = 1 + ⌈log2 1/ρ⌉`).
   *
@@ -59,11 +59,10 @@ final class QuadTree private (xs: Array[Double], d: Int, root: QuadTree.Node, va
   /** Approximate-count > 0, with early exit: true implies a point within
     * ε(1+ρ); false implies no point within ε. The tree's `minSide` fixes ρ. */
   def approxExists(q: Array[Double], eps: Double, rho: Double): Boolean = count(q, 0, eps, 1) > 0
-
-  def size: Int = root.until
 }
 
 object QuadTree {
+  private val LeafSize = 16
 
   /** A box with corner `lo` and side `side` holding the tree's points
     * `[from, until)`; a leaf has no kids (`kids == null`). */
@@ -89,25 +88,24 @@ object QuadTree {
   }
 
   /** Exact-query tree for a cell with corner `lo` and side `side`. */
-  def build(pts: Array[Pt], lo: Array[Double], side: Double, leafSize: Int = 16): QuadTree =
-    buildApprox(pts, lo, side, 0.0, leafSize)
+  def build(pts: Array[Pt], lo: Array[Double], side: Double): QuadTree =
+    buildApprox(pts, lo, side, 0.0)
 
   /** Approximate-query tree: callers pass `minSide = ρ·ε/√d` directly (root
     * side is ε/√d for grid cells). */
-  def buildApprox(pts: Array[Pt], lo: Array[Double], side: Double, minSide: Double,
-                  leafSize: Int = 16): QuadTree =
-    over(pts.flatMap(_.x), lo.length, Array.range(0, pts.length), lo, side, minSide, leafSize)
+  def buildApprox(pts: Array[Pt], lo: Array[Double], side: Double, minSide: Double): QuadTree =
+    over(pts.flatMap(_.x), lo.length, Array.range(0, pts.length), lo, side, minSide)
 
   /** The tree over the points at positions `pos` of a flat coordinate array
     * with `d` values per point; `minSide = 0` gives the exact tree. */
   def over(coords: Array[Double], d: Int, pos: Array[Int], lo: Array[Double], side: Double,
-           minSide: Double = 0.0, leafSize: Int = 16): QuadTree = {
+           minSide: Double = 0.0): QuadTree = {
     require(d <= 32, s"quadtrees support at most 32 dimensions, got d = $d")
     val order = pos.clone() // reordered in place into leaf order
     def node(a: Int, b: Int, lo: Array[Double], side: Double): Node = {
       // Stop on small population, on reaching the approximate resolution, or
       // on a degenerate side (duplicate-point guard).
-      if (b - a <= leafSize || side <= minSide || side < 1e-9) return new Node(lo, side, a, b, null)
+      if (b - a <= LeafSize || side <= minSide || side < 1e-9) return new Node(lo, side, a, b, null)
       val half = side / 2
       // Group the points by child index (one bit per dimension) with one sort.
       val keys = Array.tabulate(b - a) { i =>

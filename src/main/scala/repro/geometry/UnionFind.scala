@@ -34,8 +34,23 @@ final class UnionFind(n: Int) extends Serializable {
     }
   }
 
-  def connected(a: Int, b: Int): Boolean = find(a) == find(b)
-
-  /** Number of distinct components over all n elements. */
-  def numComponents: Int = (0 until n).count(i => find(i) == i)
+  /** Dense component labels (paper §4.4, union-find roots → cluster ids):
+    * element i gets its component's number in [0, k), components numbered
+    * in order of their first included element, or −1 when `include(i)` is
+    * false. Returns the labels and k. */
+  def labels(include: Int => Boolean): (Array[Int], Int) = {
+    val ofRoot = Array.fill(n)(-1)
+    val out = Array.fill(n)(-1)
+    var k = 0
+    var i = 0
+    while (i < n) {
+      if (include(i)) {
+        val r = find(i)
+        if (ofRoot(r) < 0) { ofRoot(r) = k; k += 1 }
+        out(i) = ofRoot(r)
+      }
+      i += 1
+    }
+    (out, k)
+  }
 }

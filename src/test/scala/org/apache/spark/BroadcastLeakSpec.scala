@@ -4,7 +4,7 @@ import org.apache.spark.storage.BroadcastBlockId
 import org.scalatest.concurrent.Eventually._
 import org.scalatest.time.SpanSugar._
 import repro.{SparkSpec, TestUtil}
-import repro.baselines.RpDbscan
+import repro.baselines.{PdsDbscan, RpDbscan}
 import repro.core._
 
 /** A DBSCAN call must not leave broadcasts behind in a long-lived session:
@@ -81,6 +81,13 @@ class BroadcastLeakSpec extends SparkSpec {
     val badIds = pts2d.map(p => if (p.id == 7) Pt(pts2d.length + 5, p.x) else p)
     assertNoLeak {
       intercept[Exception](RpDbscan.run(spark, spark.sparkContext.parallelize(badIds.toSeq, 4), 2, 3.0, 5))
+    }
+  }
+
+  test("a PdsDbscan run that rejects a point of the wrong arity leaves no broadcast") {
+    val bad = pts2d.map(p => if (p.id == 7) Pt(7, Array(p.x(0))) else p)
+    assertNoLeak {
+      intercept[Exception](PdsDbscan.run(spark, bad, 3.0, 5))
     }
   }
 }

@@ -1,7 +1,10 @@
 package repro
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.core.{CellIndex, DBSCANResult, Pt}
+import repro.baselines.NaiveDBSCAN
+import repro.core.{CellIndex, DBSCANResult, Dist, Pt}
+import repro.geometry.UnionFind
 
 import java.util.SplittableRandom
 
@@ -27,6 +30,16 @@ object TestUtil {
         Pt(i, Array.tabulate(d)(j => c(j) + rnd.nextGaussian() * sigma))
       }
     }
+  }
+
+  /** A generator's points on the driver, in id order. */
+  def collect(rdd: RDD[Pt]): Array[Pt] = rdd.collect().sortBy(_.id)
+
+  /** The cell of each point id in an index. */
+  def cellOf(idx: CellIndex): Array[Int] = {
+    val out = new Array[Int](idx.n.toInt)
+    for (c <- 0 until idx.numCells; p <- idx.start(c) until idx.start(c + 1)) out(idx.ids(p)) = c
+    out
   }
 
   /** Canonical label of a cluster: the smallest core-point id it contains. */
@@ -66,6 +79,39 @@ object TestUtil {
     val diff = (gm.keySet ++ wm.keySet).filter(k => gm.get(k) != wm.get(k))
     require(diff.isEmpty,
       s"membership differs for ids ${diff.take(5)}: got=${diff.take(3).map(gm.get)} want=${diff.take(3).map(wm.get)}")
+  }
+
+  /** Assert that `got` is a valid ρ-approximate DBSCAN result (Gan & Tao):
+    * core flags are exact; core points within ε share a cluster, and core
+    * points in different components of the core ε(1+ρ)-graph do not; the
+    * cluster ids are dense; and each non-core point's clusters are exactly
+    * those of the core points within ε of it. */
+  def assertApproxValid(pts: Array[Pt], got: DBSCANResult, eps: Double, minPts: Int,
+                        rho: Double): Unit = {
+    val want = NaiveDBSCAN.run(pts, eps, minPts)
+    require(got.isCore.toSeq == want.isCore.toSeq, "core flags differ from the reference")
+    val xs = pts.sortBy(_.id).map(_.x)
+    val n = xs.length
+    val core = (0 until n).filter(want.isCore)
+    def components(radius: Double): Array[Int] = {
+      val uf = new UnionFind(n)
+      for (i <- core; j <- core if j < i && Dist.leq(xs(i), xs(j), radius)) uf.union(i, j)
+      Array.tabulate(n)(uf.find)
+    }
+    val inner = components(eps)
+    val outer = components(eps * (1 + rho))
+    for (i <- core; j <- core if j < i) {
+      val same = got.coreCluster(i) == got.coreCluster(j)
+      require(same || inner(i) != inner(j), s"eps-connected core pair ($i,$j) split")
+      require(!same || outer(i) == outer(j), s"core pair ($i,$j) outside eps(1+rho) merged")
+    }
+    require(core.map(got.coreCluster).toSet == (0 until got.numClusters).toSet,
+      s"cluster ids of the core points are not [0, ${got.numClusters})")
+    for (i <- 0 until n if !want.isCore(i)) {
+      val within = core.filter(j => Dist.leq(xs(i), xs(j), eps)).map(got.coreCluster).toSet
+      require(got.borderClusters(i).toSet == within,
+        s"border set of point $i: ${got.borderClusters(i).toSeq} vs $within")
+    }
   }
 
   /** Points as a (id, x0..x{d-1}) DataFrame for the DuckDB oracle. */

@@ -2,46 +2,15 @@ package repro.core
 
 import repro.{SparkSpec, TestUtil}
 import repro.baselines.NaiveDBSCAN
-import repro.geometry.UnionFind
 
 /** ρ-approximate DBSCAN (Gan & Tao's definition): validity is the sandwich
-  * property — core points within ε must share a cluster, core points farther
-  * than ε(1+ρ) in the connectivity graph must not be merged beyond the
-  * ε(1+ρ) components, and core flags are exact. */
+  * property checked by [[TestUtil.assertApproxValid]] — core points within ε
+  * must share a cluster, core points farther than ε(1+ρ) in the connectivity
+  * graph must not be merged beyond the ε(1+ρ) components, and core flags are
+  * exact. */
 class ApproxDBSCANSpec extends SparkSpec {
 
   private def rdd(pts: Array[Pt]) = spark.sparkContext.parallelize(pts.toSeq, 4)
-
-  /** Driver-side components of the core ε-graph at the given radius. */
-  private def coreComponents(pts: Array[Pt], isCore: Array[Boolean], radius: Double): Array[Int] = {
-    val uf = new UnionFind(pts.length)
-    for (i <- pts.indices if isCore(i); j <- 0 until i if isCore(j))
-      if (Dist.leq(pts(i).x, pts(j).x, radius)) uf.union(i, j)
-    pts.indices.map(uf.find).toArray
-  }
-
-  private def checkApproxValid(pts: Array[Pt], res: DBSCANResult,
-                               eps: Double, minPts: Int, rho: Double): Unit = {
-    val want = NaiveDBSCAN.run(pts, eps, minPts)
-    // (1) core flags are exact — approximation only affects connectivity.
-    assert(res.isCore.toSeq === want.isCore.toSeq)
-    // (2) sandwich on the core partition.
-    val inner = coreComponents(pts, want.isCore, eps)
-    val outer = coreComponents(pts, want.isCore, eps * (1 + rho))
-    for (i <- pts.indices if res.isCore(i); j <- 0 until i if res.isCore(j)) {
-      val same = res.coreCluster(i) == res.coreCluster(j)
-      if (inner(i) == inner(j)) assert(same, s"eps-connected core pair ($i,$j) split")
-      if (outer(i) != outer(j)) assert(!same, s"core pair ($i,$j) outside eps(1+rho) merged")
-    }
-    // (3) border membership consistent with the approximate clustering:
-    // exactly the clusters of core points within ε.
-    for (i <- pts.indices if !res.isCore(i)) {
-      val wantSet = pts.indices
-        .filter(j => res.isCore(j) && Dist.leq(pts(i).x, pts(j).x, eps))
-        .map(res.coreCluster).toSet
-      assert(res.borderClusters(i).toSet === wantSet, s"border point $i")
-    }
-  }
 
   for {
     d <- Seq(2, 3, 5)
@@ -54,7 +23,7 @@ class ApproxDBSCANSpec extends SparkSpec {
     val cfg = if (qtCore) DBSCANConfig.approxQt(eps, minPts, rho)
               else DBSCANConfig.approx(eps, minPts, rho)
     val res = DBSCAN.run(spark, rdd(pts), d, cfg)
-    checkApproxValid(pts, res, eps, minPts, rho)
+    TestUtil.assertApproxValid(pts, res, eps, minPts, rho)
   }
 
   for (seed <- Seq(5L, 6L)) test(s"approx with well-separated clusters equals exact (seed=$seed)") {
@@ -70,6 +39,6 @@ class ApproxDBSCANSpec extends SparkSpec {
     val pts = TestUtil.blobPts(400, 3, 3, 2.0, 30.0, 0.2, 9L)
     val res = DBSCAN.run(spark, rdd(pts), 3,
       DBSCANConfig.approx(2.5, 8, 0.1).copy(bucketing = true))
-    checkApproxValid(pts, res, 2.5, 8, 0.1)
+    TestUtil.assertApproxValid(pts, res, 2.5, 8, 0.1)
   }
 }

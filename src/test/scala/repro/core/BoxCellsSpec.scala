@@ -25,7 +25,7 @@ class BoxCellsSpec extends SparkSpec {
     // Strips: cells in different strips never overlap in x beyond side.
     val e2 = eps * eps
     for (a <- 0 until idx.numCells; b <- 0 until idx.numCells if a != b) {
-      val near = idx.bbox(a).minSqDist(idx.bbox(b)) <= e2
+      val near = BBox.sqDistBetween(idx.cellLo, idx.cellHi, a * 2, idx.cellLo, idx.cellHi, b * 2, 2) <= e2
       assert(idx.neighbors(a).contains(b) === near)
     }
   }
@@ -38,7 +38,8 @@ class BoxCellsSpec extends SparkSpec {
       Pt(2, Array(1.2, 0.0)), Pt(3, Array(2.5, 0.0)))
     val idx = CellIndex.box2d(spark.sparkContext.parallelize(pts.toSeq, 1), eps)
     assert(idx.numCells === 3)
-    def strip(pid: Long): Int = idx.keys((0 until idx.numCells).find(c => idx.pts(c).exists(_.id == pid)).get)(0)
+    // Every y is 0, so each strip is one cell.
+    val strip = TestUtil.cellOf(idx)
     assert(strip(0) === strip(1))
     assert(strip(1) !== strip(2))
     assert(strip(2) !== strip(3))

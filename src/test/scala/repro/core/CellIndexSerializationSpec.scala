@@ -5,7 +5,7 @@ import repro.{SparkSpec, TestUtil}
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
 
 /** Java serialization of the index's flat fields (the cell-ordered ids and
-  * coordinates, cell offsets, keys, tight boxes and CSR neighbor lists) must
+  * coordinates, cell offsets, tight boxes and CSR neighbor lists) must
   * round-trip it exactly, and compactly — every broadcast depends on it. */
 class CellIndexSerializationSpec extends SparkSpec {
 
@@ -27,7 +27,6 @@ class CellIndexSerializationSpec extends SparkSpec {
     assert(back.n === idx.n)
     assert(back.numCells === idx.numCells)
     for (c <- 0 until idx.numCells) {
-      assert(back.keys(c) === idx.keys(c))
       assert(back.tightLo(c).toSeq === idx.tightLo(c).toSeq)
       assert(back.tightHi(c).toSeq === idx.tightHi(c).toSeq)
       assert(back.neighbors(c).toSeq === idx.neighbors(c).toSeq)

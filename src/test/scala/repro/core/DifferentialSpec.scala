@@ -11,21 +11,22 @@ import repro.baselines.{HpDbscan, NaiveDBSCAN, PdsDbscan}
   *
   * The structured cases put points on an integer lattice of spacing ε, so
   * every distance is 0, exactly ε, or at least ε√2 > ε(1 + ρ). There the
-  * ρ-approximate variants must equal the reference too; on random input
-  * only the exact ones must. Generated inputs put coordinates on cell
-  * boundaries off the integer lattice. */
+  * ρ-approximate variants must equal the reference too; on generated input
+  * they must meet Gan & Tao's sandwich instead. Generated inputs put
+  * coordinates on cell boundaries off the integer lattice. */
 class DifferentialSpec extends SparkSpec {
 
   private val eps = 2.0
   private val minPts = 4
+  private val rho = 0.01
+
+  private def approximate(name: String): Boolean = name.startsWith("our-approx")
 
   /** (name, run) of every algorithm that applies at dimension d. */
-  private def algorithms(d: Int, structured: Boolean): Seq[(String, Array[Pt] => DBSCANResult)] = {
-    val registered = DBSCANConfig.variants.map(_._1).filter { name =>
-      (d == 2 || !name.startsWith("our-2d")) && (structured || !name.startsWith("our-approx"))
-    }
+  private def algorithms(d: Int): Seq[(String, Array[Pt] => DBSCANResult)] = {
+    val registered = DBSCANConfig.variants.map(_._1).filter(name => d == 2 || !name.startsWith("our-2d"))
     registered.map { name =>
-      val cfg = DBSCANConfig.named(name, eps, minPts, 0.01).get
+      val cfg = DBSCANConfig.named(name, eps, minPts, rho).get
       name -> ((pts: Array[Pt]) => DBSCAN.run(spark, spark.sparkContext.parallelize(pts.toSeq, 3), d, cfg))
     } ++ Seq(
       "pdsdbscan" -> ((pts: Array[Pt]) => PdsDbscan.run(spark, pts, eps, minPts)),
@@ -64,7 +65,7 @@ class DifferentialSpec extends SparkSpec {
 
   for (d <- Seq(2, 3); (caseName, input) <- cases(d))
     test(s"every algorithm == naive on $caseName, d=$d") {
-      for ((name, run) <- algorithms(d, structured = true)) check(name, run, input)
+      for ((name, run) <- algorithms(d)) check(name, run, input)
     }
 
   /** Up to 80 points whose coordinates are multiples of the cell side ε/√d
@@ -80,20 +81,36 @@ class DifferentialSpec extends SparkSpec {
     } yield new scala.util.Random(seed).shuffle(fresh ++ copies)
   }
 
-  for (d <- Seq(2, 3))
-    test(s"every exact algorithm == naive on generated points, d=$d") {
-      val prop = Prop.forAllNoShrink(generated(d)) { xs =>
-        val input = pts(xs.map(_.toArray))
-        for ((name, run) <- algorithms(d, structured = false)) check(name, run, input)
-        true
-      }
-      val params = SCTest.Parameters.default.withMinSuccessfulTests(8).withInitialSeed(Seed(20200614L + d))
-      val res = SCTest.check(params, prop)
-      assert(res.passed, res.status)
+  /** `run`'s result on `input` meets the sandwich of a ρ-approximation. */
+  private def checkApprox(name: String, run: Array[Pt] => DBSCANResult, input: Array[Pt]): Unit =
+    try TestUtil.assertApproxValid(input, run(input), eps, minPts, rho)
+    catch { case e: Exception => fail(s"$name: ${e.getMessage}", e) }
+
+  /** Runs `checkOne` on every algorithm that `select`s, for 8 generated
+    * inputs from a fixed seed. */
+  private def forGenerated(d: Int, select: String => Boolean)(
+      checkOne: (String, Array[Pt] => DBSCANResult, Array[Pt]) => Unit): Unit = {
+    val prop = Prop.forAllNoShrink(generated(d)) { xs =>
+      val input = pts(xs.map(_.toArray))
+      for ((name, run) <- algorithms(d) if select(name)) checkOne(name, run, input)
+      true
     }
+    val params = SCTest.Parameters.default.withMinSuccessfulTests(8).withInitialSeed(Seed(20200614L + d))
+    val res = SCTest.check(params, prop)
+    assert(res.passed, res.status)
+  }
+
+  for (d <- Seq(2, 3)) {
+    test(s"every exact algorithm == naive on generated points, d=$d") {
+      forGenerated(d, !approximate(_))(check)
+    }
+    test(s"every approximate algorithm meets the sandwich on generated points, d=$d") {
+      forGenerated(d, approximate)(checkApprox)
+    }
+  }
 
   test("every exact grid algorithm == naive on random points, d=1") {
     val input = TestUtil.uniformPts(300, 1, 60.0, 5L)
-    for ((name, run) <- algorithms(1, structured = false)) check(name, run, input)
+    for ((name, run) <- algorithms(1) if !approximate(name)) check(name, run, input)
   }
 }

@@ -21,11 +21,12 @@ class GeometryPropertiesSpec extends AnyFunSuite {
   }
 
   test("Dist is a metric: symmetry and triangle inequality") {
+    def dist(a: Array[Double], b: Array[Double]) = math.sqrt(Dist.sq(a, b))
     check("sym", Prop.forAll(vec(3), vec(3)) { (a, b) =>
-      math.abs(Dist(a, b) - Dist(b, a)) < 1e-9
+      math.abs(dist(a, b) - dist(b, a)) < 1e-9
     })
     check("tri", Prop.forAll(vec(3), vec(3), vec(3)) { (a, b, c) =>
-      Dist(a, c) <= Dist(a, b) + Dist(b, c) + 1e-9
+      dist(a, c) <= dist(a, b) + dist(b, c) + 1e-9
     })
   }
 
@@ -34,11 +35,10 @@ class GeometryPropertiesSpec extends AnyFunSuite {
       (p, a, b, ts) =>
         val lo = a.zip(b).map { case (x, y) => math.min(x, y) }
         val hi = a.zip(b).map { case (x, y) => math.max(x, y) }
-        val box = BBox(lo, hi)
         // Random point inside the box via interpolation parameters ts.
         val q = lo.indices.map(i => lo(i) + ts(i) * (hi(i) - lo(i))).toArray
         val dq = Dist.sq(q, p)
-        box.minSqDistTo(p) <= dq + 1e-6 && dq <= box.maxSqDistTo(p) + 1e-6
+        BBox.minSqDistTo(lo, hi, 0, 3, p, 0) <= dq + 1e-6 && dq <= BBox.maxSqDistTo(lo, hi, 0, 3, p, 0) + 1e-6
     })
   }
 
@@ -52,7 +52,7 @@ class GeometryPropertiesSpec extends AnyFunSuite {
       val corners = Seq(a1, a2).flatMap(x => Seq(b1, b2).map(y => Dist.sq(
         boxA.lo.indices.map(i => math.max(boxA.lo(i), math.min(boxA.hi(i), x(i)))).toArray,
         boxB.lo.indices.map(i => math.max(boxB.lo(i), math.min(boxB.hi(i), y(i)))).toArray)))
-      corners.forall(_ >= boxA.minSqDist(boxB) - 1e-6)
+      corners.forall(_ >= BBox.sqDistBetween(boxA.lo, boxA.hi, 0, boxB.lo, boxB.hi, 0, 2) - 1e-6)
     })
   }
 

@@ -46,14 +46,21 @@ class GridSpec extends SparkSpec {
       for (j <- 0 until d) assert(idx.tightHi(c)(j) - idx.tightLo(c)(j) <= side + 1e-12)
       for (p <- idx.pts(c); q <- Seq(idx.pts(c).head))
         assert(Dist.leq(p.x, q.x, eps))
-      // Key consistency.
-      for (p <- idx.pts(c)) assert(CellIndex.gridKey(p.x, side) === idx.keys(c))
     }
+
+    // Cells group points exactly by grid key: one key per cell, and no key
+    // in two cells.
+    val keyOfCell = (0 until idx.numCells).map { c =>
+      val keys = idx.pts(c).map(p => CellIndex.gridKey(p.x, side)).distinct
+      assert(keys.length === 1, s"cell $c holds keys ${keys.toSeq}")
+      keys(0)
+    }
+    assert(keyOfCell.distinct.length === idx.numCells)
 
     // Neighbor lists: symmetric, complete vs brute force, self-free.
     val e2 = eps * eps
     for (a <- 0 until idx.numCells; b <- 0 until idx.numCells if a != b) {
-      val near = idx.bbox(a).minSqDist(idx.bbox(b)) <= e2
+      val near = BBox.sqDistBetween(idx.cellLo, idx.cellHi, a * d, idx.cellLo, idx.cellHi, b * d, d) <= e2
       assert(idx.neighbors(a).contains(b) === near, s"cells $a,$b near=$near")
     }
     for (a <- 0 until idx.numCells; b <- idx.neighbors(a))
@@ -66,13 +73,16 @@ class GridSpec extends SparkSpec {
       Pt(0, Array(0.0, 0.0)), Pt(1, Array(1.0, 0.0)), Pt(2, Array(1.0 - 1e-12, 0.0)),
       Pt(3, Array(-1.0, -1.0)), Pt(4, Array(-0.5, 2.0)))
     val idx = CellIndex.grid(spark.sparkContext.parallelize(pts.toSeq, 2), eps, 2)
-    val keyOf = (0 until idx.numCells).map(idx.keys).zipWithIndex.toMap
-    def cellOf(p: Pt): Vector[Int] = idx.keys((0 until idx.numCells).indexWhere(idx.pts(_).exists(_.id == p.id)))
-    assert(cellOf(pts(0)) === Vector(0, 0))
-    assert(cellOf(pts(1)) === Vector(1, 0))
-    assert(cellOf(pts(2)) === Vector(0, 0))
-    assert(cellOf(pts(3)) === Vector(-1, -1))
-    assert(keyOf.size === idx.numCells)
+    def key(i: Int): Seq[Int] = CellIndex.gridKey(pts(i).x, CellIndex.sideFor(eps, 2))
+    assert(key(0) === Seq(0, 0))
+    assert(key(1) === Seq(1, 0))
+    assert(key(2) === Seq(0, 0))
+    assert(key(3) === Seq(-1, -1))
+    // Two points share a cell iff they share a key.
+    val cellOf = TestUtil.cellOf(idx)
+    for (i <- pts.indices; j <- pts.indices)
+      assert((cellOf(i) == cellOf(j)) === (key(i) == key(j)), s"points $i and $j")
+    assert(idx.numCells === 4)
   }
 
   test("empty and singleton inputs") {

@@ -61,19 +61,38 @@ class InputContractSpec extends SparkSpec {
     assert(e.getMessage.contains("point id 1"))
   }
 
-  private val baselines: Seq[(String, Array[Pt] => DBSCANResult)] = Seq(
-    "NaiveDBSCAN" -> (pts => NaiveDBSCAN.run(pts, 2.0, 3)),
-    "PdsDbscan" -> (pts => PdsDbscan.run(spark, pts, 2.0, 3)),
-    "HpDbscan" -> (pts => HpDbscan.run(spark, pts, 2.0, 3)),
-    "RpDbscan" -> (pts => RpDbscan.run(spark, spark.sparkContext.parallelize(pts.toSeq, 2), 2, 2.0, 3)))
+  /** (name, run on (points, ε, minPts)) of each baseline, on 2D input. */
+  private val baselines: Seq[(String, (Array[Pt], Double, Int) => DBSCANResult)] = Seq(
+    "NaiveDBSCAN" -> ((pts, e, m) => NaiveDBSCAN.run(pts, e, m)),
+    "PdsDbscan" -> ((pts, e, m) => PdsDbscan.run(spark, pts, e, m)),
+    "HpDbscan" -> ((pts, e, m) => HpDbscan.run(spark, pts, e, m)),
+    "RpDbscan" -> ((pts, e, m) => RpDbscan.run(spark, spark.sparkContext.parallelize(pts.toSeq, 2), 2, e, m)))
 
   // The last id set wraps to the missing id 2 under `toInt`.
   for ((name, run) <- baselines; (ids, bad) <- Seq(
       (Seq(0L, 1L, 5L), 5L), (Seq(0L, 1L, 1L), 1L), (Seq(0L, 1L, (1L << 32) + 2), (1L << 32) + 2)))
     test(s"$name rejects ids ${ids.mkString("{", ", ", "}")} naming id $bad") {
       val pts = ids.zipWithIndex.map { case (id, i) => Pt(id, Array(i.toDouble, 0.0)) }.toArray
-      val e = intercept[IllegalArgumentException](run(pts))
+      val e = intercept[IllegalArgumentException](run(pts, 2.0, 3))
       assert(e.getMessage.contains(s"point id $bad:"), e.getMessage)
+    }
+
+  // DBSCAN.run rejects these points (tests above); a baseline used to
+  // cluster them wrongly, or fail without naming the point.
+  for ((name, run) <- baselines; (what, x) <- Seq(
+      "a NaN" -> Array(1.0, Double.NaN), "an infinite" -> Array(Double.PositiveInfinity, 1.0),
+      "a 3-coordinate" -> Array(1.0, 2.0, 3.0), "a 1-coordinate" -> Array(1.0)))
+    test(s"$name rejects $what point 7 by id") {
+      val e = intercept[Exception](run(withPoint7(x).toArray, 2.0, 3))
+      assert(messages(e).contains("point 7 "), messages(e))
+    }
+
+  for ((name, run) <- baselines; (eps, minPts) <- Seq(
+      (0.0, 3), (-1.0, 3), (Double.NaN, 3), (Double.PositiveInfinity, 3), (2.0, 0)))
+    test(s"$name rejects eps=$eps minPts=$minPts like DBSCANConfig") {
+      val want = intercept[IllegalArgumentException](DBSCANConfig(eps, minPts)).getMessage
+      val e = intercept[IllegalArgumentException](run(TestUtil.uniformPts(20, 2, 10.0, 3L), eps, minPts))
+      assert(e.getMessage === want)
     }
 
   test("eps must be finite and positive") {

@@ -1,14 +1,14 @@
 package repro.data
 
-import repro.SparkSpec
+import repro.{SparkSpec, TestUtil}
 import repro.core.CellIndex
 
 /** Generators: determinism, shape traits each stand-in must reproduce. */
 class SpatialDataSpec extends SparkSpec {
 
   test("seed spreader: dense ids, domain bounds, determinism") {
-    val a = SpatialData.collect(SpatialData.seedSpreader(spark, 5000, 3, seed = 1))
-    val b = SpatialData.collect(SpatialData.seedSpreader(spark, 5000, 3, seed = 1))
+    val a = TestUtil.collect(SpatialData.seedSpreader(spark, 5000, 3, seed = 1))
+    val b = TestUtil.collect(SpatialData.seedSpreader(spark, 5000, 3, seed = 1))
     assert(a.length === 5000)
     assert(a.map(_.id).toSeq === (0L until 5000L))
     assert(a.zip(b).forall { case (p, q) => p.x.sameElements(q.x) })
@@ -17,7 +17,7 @@ class SpatialDataSpec extends SparkSpec {
 
   test("seed spreader varden has wider density range than simden") {
     def cellCounts(varden: Boolean): Seq[Int] = {
-      val pts = SpatialData.collect(SpatialData.seedSpreader(spark, 20000, 2,
+      val pts = TestUtil.collect(SpatialData.seedSpreader(spark, 20000, 2,
         varden = varden, noiseFrac = 0.0, seed = 3))
       pts.groupBy(p => CellIndex.gridKey(p.x, 200.0)).values.map(_.length).toSeq
     }
@@ -29,7 +29,7 @@ class SpatialDataSpec extends SparkSpec {
   }
 
   test("seed spreader forms ~numRestarts dense regions") {
-    val pts = SpatialData.collect(SpatialData.seedSpreader(spark, 20000, 2,
+    val pts = TestUtil.collect(SpatialData.seedSpreader(spark, 20000, 2,
       numRestarts = 10, noiseFrac = 0.0, seed = 5))
     // Count distinct coarse regions with substantial population.
     val coarse = pts.groupBy(p => CellIndex.gridKey(p.x, 5000.0)).values.count(_.length > 200)
@@ -38,14 +38,14 @@ class SpatialDataSpec extends SparkSpec {
 
   test("uniformFill lives in a sqrt(n)-sided cube") {
     val n = 10000
-    val pts = SpatialData.collect(SpatialData.uniformFill(spark, n, 3, seed = 7))
+    val pts = TestUtil.collect(SpatialData.uniformFill(spark, n, 3, seed = 7))
     val side = math.sqrt(n.toDouble)
     assert(pts.length === n)
     assert(pts.forall(_.x.forall(v => v >= 0 && v <= side)))
   }
 
   test("geoLifeSim is heavily skewed: a few cells hold most points") {
-    val pts = SpatialData.collect(SpatialData.geoLifeSim(spark, 20000))
+    val pts = TestUtil.collect(SpatialData.geoLifeSim(spark, 20000))
     val counts = pts.groupBy(p => CellIndex.gridKey(p.x, 1000.0)).values
       .map(_.length).toSeq.sorted.reverse
     // The dense "city" blob can straddle grid boundaries, so measure the
@@ -57,7 +57,7 @@ class SpatialDataSpec extends SparkSpec {
   }
 
   test("teraClickSim collapses into one cell at the paper's eps") {
-    val pts = SpatialData.collect(SpatialData.teraClickSim(spark, 2000))
+    val pts = TestUtil.collect(SpatialData.teraClickSim(spark, 2000))
     assert(pts.head.d === 13)
     val side = CellIndex.sideFor(1500.0, 13)
     val keys = pts.map(p => CellIndex.gridKey(p.x, side)).distinct
@@ -65,7 +65,7 @@ class SpatialDataSpec extends SparkSpec {
   }
 
   test("osmSim is 2D with dense city blobs over background") {
-    val pts = SpatialData.collect(SpatialData.osmSim(spark, 20000))
+    val pts = TestUtil.collect(SpatialData.osmSim(spark, 20000))
     assert(pts.head.d === 2)
     val counts = pts.groupBy(p => CellIndex.gridKey(p.x, 2000.0)).values.map(_.length).toSeq.sorted
     assert(counts.last > 10 * math.max(1, counts(counts.length / 2)),
@@ -73,16 +73,9 @@ class SpatialDataSpec extends SparkSpec {
   }
 
   test("generators are independent of parallelism") {
-    val a = SpatialData.collect(SpatialData.osmSim(spark, 3000))
+    val a = TestUtil.collect(SpatialData.osmSim(spark, 3000))
     assert(a.map(_.id).toSeq === (0L until 3000L))
-    val c = SpatialData.collect(SpatialData.cosmoSim(spark, 3000))
+    val c = TestUtil.collect(SpatialData.cosmoSim(spark, 3000))
     assert(c.length === 3000 && c.head.d === 3)
-  }
-
-  test("toDF produces id plus coordinate columns") {
-    val rdd = SpatialData.uniformFill(spark, 100, 3, seed = 9)
-    val df = SpatialData.toDF(spark, rdd, 3)
-    assert(df.columns.toSeq === Seq("id", "x0", "x1", "x2"))
-    assert(df.count() === 100)
   }
 }

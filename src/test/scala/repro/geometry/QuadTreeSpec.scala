@@ -50,8 +50,9 @@ class QuadTreeSpec extends AnyFunSuite {
   } test(s"approx count is sandwiched between eps and eps(1+rho) counts d=$d rho=$rho seed=$seed") {
     val side = 10.0
     val eps = side * math.sqrt(d.toDouble) // cell diagonal, as in DBSCAN
-    val pts = cellPts(400, d, 0.0, side, seed)
-    val qt = QuadTree.buildApprox(pts, Array.fill(d)(0.0), side, minSide = rho * side, leafSize = 4)
+    // 2^d × 400 points: leaves of 16 points, about as deep as 400 in leaves of 4.
+    val pts = cellPts((1 << d) * 400, d, 0.0, side, seed)
+    val qt = QuadTree.buildApprox(pts, Array.fill(d)(0.0), side, minSide = rho * side)
     val rnd = new SplittableRandom(seed * 77)
     for (_ <- 0 until 60) {
       val q = Array.fill(d)(rnd.nextDouble() * 3 * side - side)
@@ -74,9 +75,9 @@ class QuadTreeSpec extends AnyFunSuite {
 
   test("duplicate points do not break construction") {
     val pts = Array.tabulate(100)(i => Pt(i, Array(5.0, 5.0)))
-    val qt = QuadTree.build(pts, Array(0.0, 0.0), 10.0, leafSize = 4)
+    val qt = QuadTree.build(pts, Array(0.0, 0.0), 10.0)
     assert(qt.rangeCount(Array(5.0, 5.0), 0.0) === 100)
-    assert(qt.size === 100)
+    assert(qt.rangeCount(Array(0.0, 0.0), 20.0) === 100) // the tree holds every point
   }
 
   test("trees count correctly up to d = 32 and reject d = 33") {
@@ -84,10 +85,10 @@ class QuadTreeSpec extends AnyFunSuite {
     // must be rejected rather than wrap points into a child whose box does
     // not hold them.
     val pts = cellPts(400, 32, 0.0, 10.0, 31L)
-    val qt = QuadTree.build(pts, Array.fill(32)(0.0), 10.0, leafSize = 4)
+    val qt = QuadTree.build(pts, Array.fill(32)(0.0), 10.0)
     for (p <- pts.take(200)) assert(qt.rangeCount(p.x, 0.1) === bruteCount(pts, p.x, 0.1))
     val e = intercept[IllegalArgumentException](
-      QuadTree.build(cellPts(400, 33, 0.0, 10.0, 31L), Array.fill(33)(0.0), 10.0, leafSize = 4))
+      QuadTree.build(cellPts(400, 33, 0.0, 10.0, 31L), Array.fill(33)(0.0), 10.0))
     assert(e.getMessage.contains("d = 33"))
   }
 

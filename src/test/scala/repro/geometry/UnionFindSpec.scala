@@ -6,25 +6,38 @@ import java.util.SplittableRandom
 
 class UnionFindSpec extends AnyFunSuite {
 
+  private val all = (_: Int) => true
+
+  /** `uf.labels` with the labels as a Seq, to compare by value. */
+  private def labels(uf: UnionFind, include: Int => Boolean): (Seq[Int], Int) = {
+    val (l, k) = uf.labels(include)
+    (l.toSeq, k)
+  }
+
   test("singletons start disconnected") {
     val uf = new UnionFind(10)
-    assert(uf.numComponents === 10)
-    assert(!uf.connected(0, 9))
+    assert(labels(uf, all) === ((0 until 10), 10))
   }
 
   test("union connects and is idempotent") {
     val uf = new UnionFind(5)
     assert(uf.union(0, 1))
     assert(!uf.union(0, 1))
-    assert(uf.connected(0, 1))
-    assert(uf.numComponents === 4)
+    assert(labels(uf, all) === (Seq(0, 0, 1, 2, 3), 4))
   }
 
   test("transitivity via chains") {
     val uf = new UnionFind(100)
     (0 until 99).foreach(i => uf.union(i, i + 1))
-    assert(uf.connected(0, 99))
-    assert(uf.numComponents === 1)
+    assert(labels(uf, all) === (Seq.fill(100)(0), 1))
+  }
+
+  test("labels exclude elements and stay dense over the rest") {
+    val uf = new UnionFind(6)
+    uf.union(0, 3); uf.union(1, 4); uf.union(4, 5)
+    // Components {0, 3}, {1, 4, 5} and {2}: without 0, element 1 comes first.
+    assert(labels(uf, i => i != 0 && i != 2) === (Seq(-1, 0, -1, 1, 0, 0), 2))
+    assert(labels(uf, _ => false) === (Seq.fill(6)(-1), 0))
   }
 
   test("matches brute-force components on random unions") {
@@ -38,7 +51,7 @@ class UnionFindSpec extends AnyFunSuite {
         uf.union(a, b)
         adj(a) += b; adj(b) += a
       }
-      // Brute-force BFS labeling.
+      // Brute-force BFS labeling, components numbered by their first element.
       val label = Array.fill(n)(-1)
       var next = 0
       for (s <- 0 until n if label(s) < 0) {
@@ -50,8 +63,7 @@ class UnionFindSpec extends AnyFunSuite {
         }
         next += 1
       }
-      for (i <- 0 until n; j <- 0 until n)
-        assert(uf.connected(i, j) === (label(i) == label(j)), s"pair ($i,$j)")
+      assert(labels(uf, all) === (label.toSeq, next))
     }
   }
 }

@@ -9,7 +9,7 @@ import repro.data.SpatialData
   * workload; cluster structure matches the generator's ground truth shape. */
 class EndToEndSpec extends SparkSpec {
 
-  private lazy val pts = SpatialData.collect(
+  private lazy val pts = TestUtil.collect(
     SpatialData.seedSpreader(spark, 20000, 3, numRestarts = 8, noiseFrac = 0.001, seed = 99))
   private lazy val rdd = spark.sparkContext.parallelize(pts.toSeq, 16)
   private val eps = 300.0
@@ -44,7 +44,7 @@ class EndToEndSpec extends SparkSpec {
   }
 
   test("2D pipeline at 20k points: all six variants agree") {
-    val pts2 = SpatialData.collect(
+    val pts2 = TestUtil.collect(
       SpatialData.seedSpreader(spark, 20000, 2, numRestarts = 8, noiseFrac = 0.001, seed = 77))
     val rdd2 = spark.sparkContext.parallelize(pts2.toSeq, 16)
     val ref = NaiveDBSCAN.run(pts2, eps, minPts)
