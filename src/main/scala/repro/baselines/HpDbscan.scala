@@ -62,44 +62,45 @@ object HpDbscan {
     }.collect().foreach(isCore(_) = true)
     val bcCore = sc.broadcast(isCore)
 
-    // Pass 2: local clustering; merge through halo points. Border points
-    // emit one representative core neighbor per local component.
-    val (mergePairs, borderReps) = {
-      val both = slabs.map { case (_, members) =>
-        val core = bcCore.value
-        val all = members.map(_._1).toArray
-        val tree = KDTree.build(all)
-        val uf = new UnionFind(n)
-        val touched = scala.collection.mutable.BitSet()
-        val reps = scala.collection.mutable.ArrayBuffer[(Int, Int)]()
-        members.foreach { case (p, owned) =>
-          val i = p.id.toInt
-          if (owned) {
-            if (core(i)) {
-              tree.within(p.x, eps).foreach { j =>
-                if (core(j) && j != i) { uf.union(i, j); touched += i; touched += j }
-              }
-            } else {
-              val seenRoots = scala.collection.mutable.HashSet[Int]()
-              tree.within(p.x, eps).foreach { j =>
-                if (core(j) && seenRoots.add(uf.find(j))) reps += ((i, j))
+    try {
+      // Pass 2: local clustering; merge through halo points. Border points
+      // emit one representative core neighbor per local component.
+      val (mergePairs, borderReps) = {
+        val both = slabs.map { case (_, members) =>
+          val core = bcCore.value
+          val all = members.map(_._1).toArray
+          val tree = KDTree.build(all)
+          val uf = new UnionFind(n)
+          val touched = scala.collection.mutable.BitSet()
+          val reps = scala.collection.mutable.ArrayBuffer[(Int, Int)]()
+          members.foreach { case (p, owned) =>
+            val i = p.id.toInt
+            if (owned) {
+              if (core(i)) {
+                tree.within(p.x, eps).foreach { j =>
+                  if (core(j) && j != i) { uf.union(i, j); touched += i; touched += j }
+                }
+              } else {
+                val seenRoots = scala.collection.mutable.HashSet[Int]()
+                tree.within(p.x, eps).foreach { j =>
+                  if (core(j) && seenRoots.add(uf.find(j))) reps += ((i, j))
+                }
               }
             }
           }
-        }
-        (touched.iterator.map(i => (i, uf.find(i))).toArray, reps.toArray)
-      }.collect()
-      (both.flatMap(_._1), both.flatMap(_._2))
-    }
-    val uf = new UnionFind(n)
-    mergePairs.foreach { case (i, r) => uf.union(i, r) }
-    val (cluster, numClusters) = uf.labels(isCore(_))
-    val border = Array.fill(n)(Array.empty[Int])
-    borderReps.groupBy(_._1).foreach { case (pid, reps) =>
-      border(pid) = reps.map(r => cluster(r._2)).distinct.sorted
-    }
-    bcCore.destroy()
-    DBSCANResult(n, isCore, cluster, border, numClusters,
-      RunStats(0, 0, 0, 0, GraphStats(0, 0, 0, 0, 0)))
+          (touched.iterator.map(i => (i, uf.find(i))).toArray, reps.toArray)
+        }.collect()
+        (both.flatMap(_._1), both.flatMap(_._2))
+      }
+      val uf = new UnionFind(n)
+      mergePairs.foreach { case (i, r) => uf.union(i, r) }
+      val (cluster, numClusters) = uf.labels(isCore(_))
+      val border = Array.fill(n)(Array.empty[Int])
+      borderReps.groupBy(_._1).foreach { case (pid, reps) =>
+        border(pid) = reps.map(r => cluster(r._2)).distinct.sorted
+      }
+      DBSCANResult(n, isCore, cluster, border, numClusters,
+        RunStats(0, 0, 0, 0, GraphStats(0, 0, 0, 0, 0)))
+    } finally bcCore.destroy()
   }
 }

@@ -1,5 +1,8 @@
 package repro.baselines
 
+import scala.collection.mutable.ArrayBuffer
+import scala.reflect.ClassTag
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.SparkSession
 import repro.core._
 import repro.geometry.{KDTree, UnionFind}
@@ -23,53 +26,57 @@ object PdsDbscan {
     val sc = spark.sparkContext
     val byId = CellIndex.byId(pts, eps, minPts)
     val n = byId.length
-    val bcPts = sc.broadcast(byId)
-    val bcTree = sc.broadcast(KDTree.build(byId))
-    val parts = repro.core.Par.parts(n / 256 + 1, repro.core.Par.threads(sc, par))
-    val ids = sc.parallelize(0 until n, parts)
+    // Every broadcast of the run is destroyed on exit, also when a job fails.
+    val shared = ArrayBuffer[Broadcast[_]]()
+    def share[T: ClassTag](v: T): Broadcast[T] = { val b = sc.broadcast(v); shared += b; b }
+    try {
+      val bcPts = share(byId)
+      val bcTree = share(KDTree.build(byId))
+      val parts = repro.core.Par.parts(n / 256 + 1, repro.core.Par.threads(sc, par))
+      val ids = sc.parallelize(0 until n, parts)
 
-    // Pass 1: core flags via pointwise range counting.
-    val isCore = new Array[Boolean](n)
-    ids.filter(i => bcTree.value.countWithin(bcPts.value(i).x, eps) >= minPts)
-      .collect().foreach(isCore(_) = true)
-    val bcCore = sc.broadcast(isCore)
+      // Pass 1: core flags via pointwise range counting.
+      val isCore = new Array[Boolean](n)
+      ids.filter(i => bcTree.value.countWithin(bcPts.value(i).x, eps) >= minPts)
+        .collect().foreach(isCore(_) = true)
+      val bcCore = share(isCore)
 
-    // Pass 2: core-core unions, summarized per partition by a local
-    // union-find (bounds driver traffic by touched ids, not edges).
-    val merged = ids.mapPartitions { it =>
-      val tree = bcTree.value; val ps = bcPts.value; val core = bcCore.value
-      val uf = new UnionFind(n)
-      val touched = scala.collection.mutable.BitSet()
-      it.foreach { i =>
-        if (core(i)) {
-          tree.within(ps(i).x, eps).foreach { j =>
-            if (core(j) && j != i) { uf.union(i, j); touched += i; touched += j }
+      // Pass 2: core-core unions, summarized per partition by a local
+      // union-find (bounds driver traffic by touched ids, not edges).
+      val merged = ids.mapPartitions { it =>
+        val tree = bcTree.value; val ps = bcPts.value; val core = bcCore.value
+        val uf = new UnionFind(n)
+        val touched = scala.collection.mutable.BitSet()
+        it.foreach { i =>
+          if (core(i)) {
+            tree.within(ps(i).x, eps).foreach { j =>
+              if (core(j) && j != i) { uf.union(i, j); touched += i; touched += j }
+            }
           }
         }
-      }
-      touched.iterator.map(i => (i, uf.find(i)))
-    }.collect()
-    val uf = new UnionFind(n)
-    merged.foreach { case (i, r) => uf.union(i, r) }
+        touched.iterator.map(i => (i, uf.find(i)))
+      }.collect()
+      val uf = new UnionFind(n)
+      merged.foreach { case (i, r) => uf.union(i, r) }
 
-    val (cluster, numClusters) = uf.labels(isCore(_))
-    val bcCluster = sc.broadcast(cluster)
+      val (cluster, numClusters) = uf.labels(isCore(_))
+      val bcCluster = share(cluster)
 
-    // Pass 3: border assignment via pointwise queries.
-    val border = Array.fill(n)(Array.empty[Int])
-    ids.flatMap { i =>
-      if (bcCore.value(i)) Iterator.empty
-      else {
-        val cs = bcTree.value.within(bcPts.value(i).x, eps)
-          .filter(bcCore.value(_))
-          .map(bcCluster.value(_))
-          .distinct.sorted
-        if (cs.nonEmpty) Iterator.single((i, cs)) else Iterator.empty
-      }
-    }.collect().foreach { case (pid, cs) => border(pid) = cs }
+      // Pass 3: border assignment via pointwise queries.
+      val border = Array.fill(n)(Array.empty[Int])
+      ids.flatMap { i =>
+        if (bcCore.value(i)) Iterator.empty
+        else {
+          val cs = bcTree.value.within(bcPts.value(i).x, eps)
+            .filter(bcCore.value(_))
+            .map(bcCluster.value(_))
+            .distinct.sorted
+          if (cs.nonEmpty) Iterator.single((i, cs)) else Iterator.empty
+        }
+      }.collect().foreach { case (pid, cs) => border(pid) = cs }
 
-    Seq(bcPts, bcTree, bcCore, bcCluster).foreach(_.destroy())
-    DBSCANResult(n, isCore, cluster, border, numClusters,
-      RunStats(0, 0, 0, 0, GraphStats(0, 0, 0, 0, 0)))
+      DBSCANResult(n, isCore, cluster, border, numClusters,
+        RunStats(0, 0, 0, 0, GraphStats(0, 0, 0, 0, 0)))
+    } finally shared.foreach(_.destroy())
   }
 }

@@ -27,7 +27,9 @@ case object UsecGraph extends GraphMethod
 /** Delaunay triangulation over all core points (2D only). */
 case object DelaunayGraph extends GraphMethod
 /** ρ-approximate RangeCount on a depth-limited quadtree (Gan & Tao). */
-final case class ApproxGraph(rho: Double) extends GraphMethod
+final case class ApproxGraph(rho: Double) extends GraphMethod {
+  require(rho >= 0 && !rho.isInfinite, s"rho must be finite and >= 0, got $rho")
+}
 
 /** Per-run connectivity context: everything a distributed pair-query needs
   * beyond the broadcast [[CellIndex]]. Built once after MarkCore. */

@@ -20,10 +20,7 @@ object ClusterBorder {
   def run(sc: SparkContext, bcIdx: Broadcast[CellIndex], bcFlags: Broadcast[Array[Boolean]],
           bcComp: Broadcast[Array[Int]], minPts: Int, par: Int = 0): Array[Array[Int]] = {
     val idx = bcIdx.value
-    val flags = bcFlags.value
-    val smallCells = (0 until idx.numCells).filter { c =>
-      (idx.start(c) until idx.start(c + 1)).exists(p => !flags(idx.ids(p)))
-    }
+    val smallCells = (0 until idx.numCells).filter(idx.size(_) < minPts)
     val assigned = Par.perCell(sc, smallCells, par) { g =>
       val i = bcIdx.value
       val fl = bcFlags.value
@@ -31,15 +28,15 @@ object ClusterBorder {
       val eps = i.eps
       val e2 = eps * eps
       val (d, xs) = (i.d, i.coords)
-      val cells = g +: i.neighbors(g).toSeq
       Iterator.range(i.start(g), i.start(g + 1)).filter(p => !fl(i.ids(p))).flatMap { p =>
         val comps = scala.collection.mutable.SortedSet[Int]()
-        for (h <- cells if comp(h) >= 0 && !comps.contains(comp(h))) {
-          if (h == g) {
-            // Everything in the own cell is within ε: any core point in g
-            // puts p in g's cluster without a distance check.
-            comps += comp(g)
-          } else if (i.minSqDistToCell(h, xs, p * d) <= e2) {
+        // Everything in the own cell is within ε: any core point in g puts p
+        // in g's cluster without a distance check.
+        if (comp(g) >= 0) comps += comp(g)
+        var k = i.nbrStart(g)
+        while (k < i.nbrStart(g + 1)) {
+          val h = i.nbrs(k)
+          if (comp(h) >= 0 && !comps.contains(comp(h)) && i.minSqDistToCell(h, xs, p * d) <= e2) {
             var j = i.start(h)
             var hit = false
             while (!hit && j < i.start(h + 1)) {
@@ -48,6 +45,7 @@ object ClusterBorder {
             }
             if (hit) comps += comp(h)
           }
+          k += 1
         }
         // One array per border point: its id, then its cluster ids.
         if (comps.nonEmpty) Iterator.single(i.ids(p) +: comps.toArray) else Iterator.empty

@@ -19,13 +19,14 @@ final case class GraphStats(
   * points come within ε — and returns each cell's connected component as a
   * dense cluster id.
   *
-  * Connectivity *queries* are evaluated in parallel in Spark; the union-find
-  * over the (small) cell graph lives on the driver. Pairs already in the same
-  * component are pruned before evaluation. With `bucketing` (paper §4.4),
-  * cells are sorted by core-point count (descending) and processed in
-  * batches: big, highly-connected cells union early and prune many later
-  * queries — without it, all pairs evaluate in one fully-parallel batch,
-  * which is what an unsynchronized parallel execution degrades to.
+  * Connectivity *queries* are evaluated in parallel in Spark, one
+  * [[Par.perCell]] pass per batch; the union-find over the (small) cell graph
+  * lives on the driver. Pairs already in the same component are pruned
+  * before evaluation. With `bucketing` (paper §4.4), cells are sorted by
+  * core-point count (descending) and processed in batches: big,
+  * highly-connected cells union early and prune many later queries —
+  * without it, all pairs evaluate in one fully-parallel batch, which is what
+  * an unsynchronized parallel execution degrades to.
   */
 object ClusterCore {
 
@@ -37,68 +38,56 @@ object ClusterCore {
     val idx = bcIdx.value
     val ctx = bcCtx.value
     val m = idx.numCells
-    val p = Par.threads(sc, par)
     val (uf, stats) = method match {
       case DelaunayGraph => runDelaunay(idx, bcFlags.value, ctx)
       case _ =>
-        // Rank core cells by core count, descending (paper's SortBySize).
-        val coreCells = (0 until m).filter(ctx.coreCount(_) > 0).toArray
-        val order = coreCells.sortBy(c => (-ctx.coreCount(c), c))
-        val rank = Array.fill(m)(Int.MaxValue)
-        order.zipWithIndex.foreach { case (c, r) => rank(c) = r }
-
+        // Core cells by core count, descending (paper's SortBySize), ties by id.
+        val order = (0 until m).filter(ctx.coreCount(_) > 0).sortBy(c => (-ctx.coreCount(c), c))
+        val batchSize =
+          if (bucketing) math.max(1, (order.length + numBuckets - 1) / numBuckets)
+          else math.max(1, order.length)
         val uf = new UnionFind(m)
         var candidate = 0L; var run = 0L; var edges = 0L
-        val batches: Iterator[Array[Int]] =
-          if (bucketing) {
-            val bs = math.max(1, (order.length + numBuckets - 1) / numBuckets)
-            order.grouped(bs)
-          } else Iterator.single(order)
-        for (batch <- batches) {
-          // Each unordered pair is owned by the later-ranked cell, so it is
-          // considered exactly once, in its owner's batch. An owner walks its
-          // neighbor list *sequentially* (paper Alg. 3 line 5 is a plain
-          // `for`): a query is pruned when the target's component — as of the
-          // start of the batch, extended by the owner's own links — is
-          // already connected to the owner. Owners across a batch evaluate in
-          // parallel.
-          val owners = batch.iterator.map { g =>
-            (g, idx.neighbors(g).filter(h => ctx.coreCount(h) > 0 && rank(h) < rank(g)))
-          }.filter(_._2.nonEmpty).toSeq
-          candidate += owners.iterator.map(_._2.length.toLong).sum
-          if (owners.nonEmpty) {
-            val snap = Array.tabulate(m)(uf.find)
-            val bcSnap = sc.broadcast(snap)
-            // Owners are cheap units; group ~16 per partition so small
-            // batches don't pay for dozens of near-empty tasks.
-            val parts = Par.parts(owners.length / 16 + 1, p)
-            val results = try sc.parallelize(owners, parts).map { case (g, hs) =>
-              val snapV = bcSnap.value
-              val linked = scala.collection.mutable.HashSet[Int](snapV(g))
-              val hits = scala.collection.mutable.ArrayBuffer[(Int, Int)]()
-              var queries = 0L
-              var i = 0
-              while (i < hs.length) {
-                val h = hs(i)
-                if (!linked.contains(snapV(h))) {
+        for (batch <- order.grouped(batchSize)) {
+          val bcSnap = sc.broadcast(Array.tabulate(m)(uf.find))
+          // Each unordered pair is owned by its later cell in `order`: owner
+          // g takes as candidates the neighbors h before it (more core points,
+          // or as many and a smaller id), so a pair is considered exactly
+          // once, in its owner's batch. An owner walks its neighbor list
+          // *sequentially* (paper Alg. 3 line 5 is a plain `for`): a query is
+          // pruned when the target's component — as of the start of the
+          // batch, extended by the owner's own links — is already connected
+          // to the owner. Owners evaluate in parallel.
+          val owned = try Par.perCell(sc, batch, par) { g =>
+            val (i, c, snap) = (bcIdx.value, bcCtx.value, bcSnap.value)
+            val linked = scala.collection.mutable.HashSet[Int](snap(g))
+            val hits = new scala.collection.mutable.ArrayBuilder.ofInt
+            var candidates = 0; var queries = 0
+            var k = i.nbrStart(g)
+            while (k < i.nbrStart(g + 1)) {
+              val h = i.nbrs(k)
+              if (c.coreCount(h) > c.coreCount(g) || (c.coreCount(h) == c.coreCount(g) && h < g)) {
+                candidates += 1
+                if (!linked.contains(snap(h))) {
                   queries += 1
-                  if (CellGraph.connected(bcIdx.value, bcCtx.value, method, g, h, bcFlags.value)) {
-                    linked += snapV(h)
-                    hits += ((g, h))
+                  if (CellGraph.connected(i, c, method, g, h, bcFlags.value)) {
+                    linked += snap(h)
+                    hits += h
                   }
                 }
-                i += 1
               }
-              (hits.toArray, queries)
-            }.collect() finally bcSnap.destroy()
-            results.foreach { case (hits, q) =>
-              run += q
-              edges += hits.length
-              hits.foreach { case (g, h) => uf.union(g, h) }
+              k += 1
             }
+            Some((g, hits.result(), candidates, queries))
+          } finally bcSnap.destroy()
+          owned.foreach { case (g, hits, c, q) =>
+            candidate += c
+            run += q
+            edges += hits.length
+            hits.foreach(uf.union(g, _))
           }
         }
-        (uf, GraphStats(m, coreCells.length, candidate, run, edges))
+        (uf, GraphStats(m, order.length, candidate, run, edges))
     }
     (uf.labels(ctx.coreCount(_) > 0)._1, stats)
   }

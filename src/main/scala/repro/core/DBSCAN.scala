@@ -120,11 +120,10 @@ object Par {
     if (par > 0) par else sc.defaultParallelism
 
   /** The parallel loop over cells of the neighbor search, MarkCore, the
-    * ConnCtx build and ClusterBorder: runs `f` on each cell id as one Spark
-    * job with `parts(cells.length, par)` partitions and returns what it
-    * emits, in input order. `f` may emit any number of results per cell. No
-    * job runs for an empty cell list. (ClusterCore's owners ship their
-    * candidate lists, so it runs its own job per bucket.) */
+    * ConnCtx build, each ClusterCore bucket and ClusterBorder: runs `f` on
+    * each cell id as one Spark job with `parts(cells.length, par)` partitions
+    * and returns what it emits, in input order. `f` may emit any number of
+    * results per cell. No job runs for an empty cell list. */
   private[core] def perCell[T: ClassTag](sc: SparkContext, cells: Seq[Int], par: Int)(
       f: Int => IterableOnce[T]): Array[T] =
     if (cells.isEmpty) Array.empty[T]

@@ -36,12 +36,11 @@ object MarkCore {
         val eps = idx.eps
         val e2 = eps * eps
         val (d, xs) = (idx.d, idx.coords)
-        val nbs = idx.neighbors(c)
         Iterator.range(s, e).filter { p =>
           var count = e - s // everything in the own cell is within ε
-          var i = 0
-          while (count < minPts && i < nbs.length) {
-            val h = nbs(i)
+          var k = idx.nbrStart(c)
+          while (count < minPts && k < idx.nbrStart(c + 1)) {
+            val h = idx.nbrs(k)
             if (idx.minSqDistToCell(h, xs, p * d) <= e2) {
               bcQt match {
                 case Some(qts) => count += qts.value(h).count(xs, p * d, eps, minPts - count)
@@ -53,7 +52,7 @@ object MarkCore {
                   }
               }
             }
-            i += 1
+            k += 1
           }
           count >= minPts
         }.map(idx.ids(_))

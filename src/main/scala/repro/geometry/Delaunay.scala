@@ -52,11 +52,6 @@ final class Delaunay(px: Array[Double], py: Array[Double]) {
     t
   }
 
-  /** Index (0..2) of vertex `p` in triangle `t`. */
-  private def vertIndex(t: Int, p: Int): Int = {
-    if (v(3 * t) == p) 0 else if (v(3 * t + 1) == p) 1 else { require(v(3 * t + 2) == p); 2 }
-  }
-
   /** Walk from triangle `start` to a triangle containing point p. */
   private def locate(p: Int, start: Int): Int = {
     var t = start

@@ -1,10 +1,11 @@
 package org.apache.spark
 
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkListenerJobStart}
 import org.apache.spark.storage.BroadcastBlockId
 import org.scalatest.concurrent.Eventually._
 import org.scalatest.time.SpanSugar._
 import repro.{SparkSpec, TestUtil}
-import repro.baselines.{PdsDbscan, RpDbscan}
+import repro.baselines.{HpDbscan, PdsDbscan, RpDbscan}
 import repro.core._
 
 /** A DBSCAN call must not leave broadcasts behind in a long-lived session:
@@ -44,6 +45,34 @@ class BroadcastLeakSpec extends SparkSpec {
     eventually(timeout(10.seconds), interval(50.millis)) {
       val live = liveSince(before)
       assert(live.isEmpty, s"broadcasts still live after the call: ${live.sorted.mkString(", ")}")
+    }
+  }
+
+  /** Runs `body` with its k-th Spark job cancelled. `body` runs in a job
+    * group of its own; once its job k - 1 ends (for k = 1, before it starts),
+    * the group's running and future jobs are cancelled, so job k fails even
+    * when it is submitted before the listener hears of job k - 1's end. */
+  private def cancellingJob[T](k: Int)(body: => T): T = {
+    val sc = spark.sparkContext
+    val group = s"cancel-job-$k-${System.nanoTime()}"
+    def cancel(): Unit = sc.cancelJobGroupAndFutureJobs(group, s"cancel job $k")
+    val listener = new SparkListener {
+      private val ours = scala.collection.mutable.Set[Int]() // listener-bus thread only
+      private var ended = 0
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        if (Option(e.properties).exists(_.getProperty(SparkContext.SPARK_JOB_GROUP_ID) == group))
+          ours += e.jobId
+      override def onJobEnd(e: SparkListenerJobEnd): Unit =
+        if (ours.contains(e.jobId)) { ended += 1; if (ended == k - 1) cancel() }
+    }
+    sc.addSparkListener(listener)
+    sc.setJobGroup(group, s"cancel job $k")
+    try {
+      if (k == 1) cancel()
+      body
+    } finally {
+      sc.clearJobGroup()
+      sc.removeSparkListener(listener)
     }
   }
 
@@ -90,4 +119,17 @@ class BroadcastLeakSpec extends SparkSpec {
       intercept[Exception](PdsDbscan.run(spark, bad, 3.0, 5))
     }
   }
+
+  private val baselines = Map[String, () => DBSCANResult](
+    "PdsDbscan" -> (() => PdsDbscan.run(spark, pts2d, 3.0, 5)),
+    "HpDbscan" -> (() => HpDbscan.run(spark, pts2d, 3.0, 5)))
+
+  // PdsDbscan broadcasts before job 1 and between its three jobs; HpDbscan
+  // broadcasts once, between its two jobs.
+  for ((name, k) <- Seq("PdsDbscan" -> 1, "PdsDbscan" -> 2, "PdsDbscan" -> 3, "HpDbscan" -> 2))
+    test(s"a $name run whose job $k is cancelled leaves no broadcast") {
+      assertNoLeak {
+        intercept[SparkException](cancellingJob(k)(baselines(name)()))
+      }
+    }
 }

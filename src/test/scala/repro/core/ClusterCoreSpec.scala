@@ -48,9 +48,19 @@ class ClusterCoreSpec extends SparkSpec {
     val pts = TestUtil.blobPts(3000, 2, numBlobs = 1, sigma = 4.0, extent = 20.0,
       noiseFrac = 0.0, seed = 17L)
     val eps = 3.0; val minPts = 5
-    val without = run(pts, 2, eps, minPts, BcpGraph, bucketing = false).stats.graph
+    val res = run(pts, 2, eps, minPts, BcpGraph, bucketing = false)
+    val without = res.stats.graph
     val withB = run(pts, 2, eps, minPts, BcpGraph, bucketing = true).stats.graph
     assert(withB.candidatePairs === without.candidatePairs)
+    // Each unordered pair of neighboring core cells has exactly one owner.
+    val idx = CellIndex.grid(spark.sparkContext.parallelize(pts.toSeq, 4), eps, 2)
+    val core = (0 until idx.numCells).map(c => (idx.start(c) until idx.start(c + 1)).exists(p => res.isCore(idx.ids(p))))
+    val corePairs = (for {
+      a <- 0 until idx.numCells if core(a)
+      b <- 0 until a if core(b)
+      if BBox.sqDistBetween(idx.cellLo, idx.cellHi, a * 2, idx.cellLo, idx.cellHi, b * 2, 2) <= eps * eps
+    } yield 1L).sum
+    assert(without.candidatePairs === corePairs)
     assert(withB.queriesRun < without.queriesRun,
       s"bucketing should prune: ${withB.queriesRun} vs ${without.queriesRun}")
   }

@@ -7,10 +7,12 @@ import repro.baselines.{HpDbscan, NaiveDBSCAN, PdsDbscan}
 
 /** Every exact algorithm against the sequential reference on degenerate
   * input: no or one point, duplicates, zero-width cells, cell centers that
-  * coincide, and pairs exactly ε apart, also far from the origin.
+  * coincide, pairs exactly ε apart, also far from the origin, and collinear
+  * or cocircular points in 2D.
   *
   * The structured cases put points on an integer lattice of spacing ε, so
-  * every distance is 0, exactly ε, or at least ε√2 > ε(1 + ρ). There the
+  * every distance is 0, exactly ε, or at least ε√2 > ε(1 + ρ); the lines and
+  * circles also keep every distance out of (ε, ε(1 + ρ)]. There the
   * ρ-approximate variants must equal the reference too; on generated input
   * they must meet Gan & Tao's sandwich instead. Generated inputs put
   * coordinates on cell boundaries off the integer lattice. */
@@ -54,8 +56,37 @@ class DifferentialSpec extends SparkSpec {
       "duplicate groups exactly eps apart" -> lattice(d, 0.0),
       "duplicate groups exactly eps apart, offset +1e8" -> lattice(d, 1e8),
       "duplicate groups exactly eps apart, offset -1e8" -> lattice(d, -1e8),
-    )
+    ) ++ (if (d == 2) planarCases else Nil)
   }
+
+  /** The points reached from `from` by each step in turn, `from` included. */
+  private def chain(from: (Double, Double), steps: Seq[(Double, Double)]): Seq[Array[Double]] =
+    steps.scanLeft(from) { case ((x, y), (dx, dy)) => (x + dx, y + dy) }.map { case (x, y) => Array(x, y) }
+
+  /** Three chains of 7 points `step` apart on one line, joined by `gap1` and
+    * `gap2`. Steps are shorter than ε/2, so chain points are core. */
+  private def line(step: (Double, Double), gap1: (Double, Double), gap2: (Double, Double)): Array[Pt] =
+    pts(chain((0.5, 0.5), Seq.fill(6)(step) ++ Seq(gap1) ++ Seq.fill(6)(step) ++ Seq(gap2) ++ Seq.fill(6)(step)))
+
+  /** `k` points evenly spaced on the circle of radius `r` around `c`, then `c`. */
+  private def circle(c: (Double, Double), r: Double, k: Int): Seq[Array[Double]] =
+    (0 until k).map { i =>
+      val a = 2 * math.Pi * i / k
+      Array(c._1 + r * math.cos(a), c._2 + r * math.sin(a))
+    } :+ Array(c._1, c._2)
+
+  /** Collinear and cocircular 2D input: degenerate cases for Delaunay and
+    * USEC. */
+  private val planarCases: Seq[(String, Array[Pt])] = Seq(
+    // The first gap is exactly ε, which joins two chains through their end points.
+    "collinear points on an axis line with gaps" -> line((0.75, 0.0), (2.0, 0.0), (3.0, 0.0)),
+    // Steps of length 0.625, gaps of 1.875 (joins) and 2.5 (separates).
+    "collinear points on a slanted line with gaps" -> line((0.375, 0.5), (1.125, 1.5), (1.5, 2.0)),
+    "collinear points on a diagonal line with gaps" -> line((0.5, 0.5), (1.25, 1.25), (1.5, 1.5)),
+    // The center is core within ε of its circle of 12, and noise beyond ε of its circle of 24.
+    "cocircular points and their centers" ->
+      pts(circle((0.5, 0.5), 1.5, 12) ++ circle((20.5, 0.5), 3.0, 24)),
+  )
 
   private def check(name: String, run: Array[Pt] => DBSCANResult, input: Array[Pt]): Unit = {
     val want = NaiveDBSCAN.run(input, eps, minPts)

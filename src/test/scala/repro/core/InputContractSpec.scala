@@ -100,6 +100,13 @@ class InputContractSpec extends SparkSpec {
       intercept[IllegalArgumentException](DBSCANConfig(eps, 5))
   }
 
+  test("rho must be finite and non-negative, naming rho") {
+    for (rho <- Seq(-1.0, Double.NaN, Double.PositiveInfinity)) {
+      val e = intercept[IllegalArgumentException](DBSCANConfig.approx(2.0, 3, rho))
+      assert(e.getMessage.contains(s"rho must be finite and >= 0, got $rho"), e.getMessage)
+    }
+  }
+
   test("minPts must be at least 1") {
     intercept[IllegalArgumentException](DBSCANConfig(1.0, 0))
   }
