@@ -21,12 +21,14 @@ final case class GraphStats(
   *
   * Connectivity *queries* are evaluated in parallel in Spark, one
   * [[Par.perCell]] pass per batch; the union-find over the (small) cell graph
-  * lives on the driver. Pairs already in the same component are pruned
-  * before evaluation. With `bucketing` (paper §4.4), cells are sorted by
-  * core-point count (descending) and processed in batches: big,
-  * highly-connected cells union early and prune many later queries —
-  * without it, all pairs evaluate in one fully-parallel batch, which is what
-  * an unsynchronized parallel execution degrades to.
+  * lives on the driver. A pair is pruned before evaluation when it is
+  * already in one component: the component as of the start of the batch,
+  * joined by every link found earlier in its task (each task keeps one
+  * union-find, the nearest analogue of the paper's shared one). With
+  * `bucketing` (paper §4.4), cells are sorted by core-point count
+  * (descending) and processed in batches: big, highly-connected cells union
+  * early and prune queries in every later task — without it, all pairs run
+  * in one batch and a task sees only its own links.
   */
 object ClusterCore {
 
@@ -53,32 +55,35 @@ object ClusterCore {
           // Each unordered pair is owned by its later cell in `order`: owner
           // g takes as candidates the neighbors h before it (more core points,
           // or as many and a smaller id), so a pair is considered exactly
-          // once, in its owner's batch. An owner walks its neighbor list
-          // *sequentially* (paper Alg. 3 line 5 is a plain `for`): a query is
-          // pruned when the target's component — as of the start of the
-          // batch, extended by the owner's own links — is already connected
-          // to the owner. Owners evaluate in parallel.
-          val owned = try Par.perCell(sc, batch, par) { g =>
+          // once, in its owner's batch. Each task keeps one union-find over
+          // the snapshot's component ids, and its owners walk their neighbor
+          // lists in turn (paper Alg. 3 line 5 is a plain `for`): a query is
+          // pruned when the two components — as of the start of the batch,
+          // joined by every link found earlier in its task — are already
+          // connected. Tasks evaluate in parallel.
+          val owned = try Par.perCell(sc, batch, par) {
             val (i, c, snap) = (bcIdx.value, bcCtx.value, bcSnap.value)
-            val linked = scala.collection.mutable.HashSet[Int](snap(g))
-            val hits = new scala.collection.mutable.ArrayBuilder.ofInt
-            var candidates = 0; var queries = 0
-            var k = i.nbrStart(g)
-            while (k < i.nbrStart(g + 1)) {
-              val h = i.nbrs(k)
-              if (c.coreCount(h) > c.coreCount(g) || (c.coreCount(h) == c.coreCount(g) && h < g)) {
-                candidates += 1
-                if (!linked.contains(snap(h))) {
-                  queries += 1
-                  if (CellGraph.connected(i, c, method, g, h, bcFlags.value)) {
-                    linked += snap(h)
-                    hits += h
+            val local = new UnionFind(m)
+            g => {
+              val hits = new scala.collection.mutable.ArrayBuilder.ofInt
+              var candidates = 0; var queries = 0
+              var k = i.nbrStart(g)
+              while (k < i.nbrStart(g + 1)) {
+                val h = i.nbrs(k)
+                if (c.coreCount(h) > c.coreCount(g) || (c.coreCount(h) == c.coreCount(g) && h < g)) {
+                  candidates += 1
+                  if (local.find(snap(g)) != local.find(snap(h))) {
+                    queries += 1
+                    if (CellGraph.connected(i, c, method, g, h, bcFlags.value)) {
+                      local.union(snap(g), snap(h))
+                      hits += h
+                    }
                   }
                 }
+                k += 1
               }
-              k += 1
+              Some((g, hits.result(), candidates, queries))
             }
-            Some((g, hits.result(), candidates, queries))
           } finally bcSnap.destroy()
           owned.foreach { case (g, hits, c, q) =>
             candidate += c

@@ -35,7 +35,7 @@ final case class DBSCANConfig(
 
 object DBSCANConfig {
   /** Bucket count of the bucketing optimization (paper §4.4). */
-  private[core] final val DefaultBuckets = 8
+  private[core] final val DefaultBuckets = 2
 
   /** The ε and minPts every algorithm accepts, the baselines included. */
   private[repro] def requireParams(eps: Double, minPts: Int): Unit = {
@@ -120,14 +120,18 @@ object Par {
     if (par > 0) par else sc.defaultParallelism
 
   /** The parallel loop over cells of the neighbor search, MarkCore, the
-    * ConnCtx build, each ClusterCore bucket and ClusterBorder: runs `f` on
-    * each cell id as one Spark job with `parts(cells.length, par)` partitions
-    * and returns what it emits, in input order. `f` may emit any number of
-    * results per cell. No job runs for an empty cell list. */
+    * ConnCtx build, each ClusterCore bucket and ClusterBorder: runs the
+    * per-cell function on each cell id as one Spark job with
+    * `parts(cells.length, par)` partitions and returns what it emits, in
+    * input order. It may emit any number of results per cell. `f` is
+    * evaluated once per task, in the task, so state a caller opens before it
+    * returns the per-cell function is per task and shared by that task's
+    * cells, in input order. No job runs for an empty cell list. */
   private[core] def perCell[T: ClassTag](sc: SparkContext, cells: Seq[Int], par: Int)(
-      f: Int => IterableOnce[T]): Array[T] =
+      f: => Int => IterableOnce[T]): Array[T] =
     if (cells.isEmpty) Array.empty[T]
-    else sc.parallelize(cells, parts(cells.length, threads(sc, par))).flatMap(f).collect()
+    else sc.parallelize(cells, parts(cells.length, threads(sc, par)))
+      .mapPartitions { it => val g = f; it.flatMap(g) }.collect()
 }
 
 /** Top-level parallel DBSCAN driver (paper Alg. 1). */

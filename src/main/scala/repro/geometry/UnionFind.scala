@@ -3,13 +3,16 @@ package repro.geometry
 /** Array-based union-find with union by rank and path halving.
   *
   * The paper uses a lock-free concurrent union-find shared by all threads;
-  * here the structure lives on the driver and only the O(#cells) metadata
-  * passes through it — the expensive connectivity *queries* run distributed
-  * (see [[repro.core.ClusterCore]]), so a sequential driver-side structure
-  * preserves the algorithm's cost profile.
+  * here each structure is sequential. ClusterCore (see
+  * [[repro.core.ClusterCore]]) keeps one over the cell graph on the driver
+  * and one more in each Spark task of a batch, over the batch snapshot's
+  * component ids, so that a link found in a task prunes that task's later
+  * queries.
+  * Only O(#cells) metadata passes through them; the expensive connectivity
+  * *queries* run distributed.
   */
 final class UnionFind(n: Int) extends Serializable {
-  private val parent = Array.tabulate(n)(identity)
+  private val parent = Array.range(0, n)
   private val rank   = new Array[Byte](n)
 
   /** Representative of `i`'s component, with path halving. */

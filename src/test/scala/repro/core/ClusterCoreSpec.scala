@@ -8,9 +8,9 @@ class ClusterCoreSpec extends SparkSpec {
 
   /** One run of the whole pipeline with cell graph `method`. */
   private def run(pts: Array[Pt], d: Int, eps: Double, minPts: Int, method: GraphMethod,
-                  bucketing: Boolean): DBSCANResult =
+                  bucketing: Boolean, par: Int = 0): DBSCANResult =
     DBSCAN.run(spark, spark.sparkContext.parallelize(pts.toSeq, 4), d,
-      DBSCANConfig(eps, minPts, graphMethod = method, bucketing = bucketing))
+      DBSCANConfig(eps, minPts, graphMethod = method, bucketing = bucketing, parallelism = par))
 
   /** (id, rep) rows for the core points, where rep = the min core id of the
     * point's cluster. */
@@ -63,6 +63,30 @@ class ClusterCoreSpec extends SparkSpec {
     assert(without.candidatePairs === corePairs)
     assert(withB.queriesRun < without.queriesRun,
       s"bucketing should prune: ${withB.queriesRun} vs ${without.queriesRun}")
+  }
+
+  test("one task prunes queries against the links it found, also without bucketing") {
+    // The skewed data above; at parallelism 1 the one batch is one task.
+    val pts = TestUtil.blobPts(3000, 2, numBlobs = 1, sigma = 4.0, extent = 20.0,
+      noiseFrac = 0.0, seed = 17L)
+    val g = run(pts, 2, 3.0, 5, BcpGraph, bucketing = false, par = 1).stats.graph
+    assert(g.queriesRun < g.candidatePairs,
+      s"a task should prune: ${g.queriesRun} queries of ${g.candidatePairs} candidates")
+  }
+
+  test("the clustering does not depend on how owners are split into tasks") {
+    // Pruning depends on which owners share a task, so the counters
+    // change with the parallelism; the clustering must not.
+    val pts = TestUtil.blobPts(2500, 2, numBlobs = 6, sigma = 2.0, extent = 60.0,
+      noiseFrac = 0.2, seed = 29L)
+    val eps = 1.5; val minPts = 6
+    val want = repro.baselines.NaiveDBSCAN.run(pts, eps, minPts)
+    assert(want.numClusters > 1)
+    for (method <- Seq(BcpGraph, QtGraph); bucketing <- Seq(false, true); par <- 1 to 4) {
+      withClue(s"method=$method bucketing=$bucketing par=$par: ") {
+        TestUtil.assertSameClustering(run(pts, 2, eps, minPts, method, bucketing, par), want)
+      }
+    }
   }
 
   test("approximate graph connects everything within eps and nothing beyond eps(1+rho)") {

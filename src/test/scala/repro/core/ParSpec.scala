@@ -40,6 +40,23 @@ class ParSpec extends SparkSpec {
     }
   }
 
+  test("perCell builds its function once per task") {
+    val sc = spark.sparkContext
+    val got = Par.perCell(sc, 0 until 500, par = 3) {
+      // Runs in the task, before any of its cells.
+      val opened = Option(TaskContext.get()).map(_.partitionId())
+      var seen = 0
+      c => { seen += 1; Some((opened, TaskContext.getPartitionId(), seen, c)) }
+    }
+    assert(got.map(_._4).toSeq === (0 until 500))
+    val tasks = got.groupBy(_._2)
+    assert(tasks.size === Par.parts(500, 3))
+    for ((part, rows) <- tasks) {
+      assert(rows.forall(_._1.contains(part)), s"partition $part: block ran outside its task")
+      assert(rows.map(_._3).toSeq === (1 to rows.length), s"partition $part: counter")
+    }
+  }
+
   test("perCell over no cells returns an empty array") {
     assert(Par.perCell(spark.sparkContext, Seq.empty[Int], par = 4)(c => Some(c)).isEmpty)
   }
