@@ -26,7 +26,7 @@ object HpDbscan {
     val byId = CellIndex.byId(pts, eps, minPts)
     val n = byId.length
     val numSlabs = if (numSlabs0 > 0) numSlabs0
-      else math.max(1, math.min(sc.defaultParallelism * 2, n / 2048))
+      else math.max(1, math.min(Par.threads(sc, 0) * 2, n / 2048))
 
     // Quantile slab boundaries on dim 0: slab s covers [bounds(s), bounds(s+1)).
     val xs = byId.map(_.x(0)).sorted
@@ -35,14 +35,7 @@ object HpDbscan {
       else if (s == numSlabs) Double.PositiveInfinity
       else xs((s.toLong * n / numSlabs).toInt)
     }
-    def ownerOf(v: Double): Int = {
-      var lo = 0; var hi = numSlabs - 1
-      while (lo < hi) {
-        val mid = (lo + hi + 1) >>> 1
-        if (bounds(mid) <= v) lo = mid else hi = mid - 1
-      }
-      lo
-    }
+    def ownerOf(v: Double): Int = CellIndex.lastLeq(bounds, v)
     // Replicate each point into every slab its ±ε extent touches.
     val assignments = byId.iterator.flatMap { p =>
       val o = ownerOf(p.x(0))
@@ -60,9 +53,9 @@ object HpDbscan {
       val tree = KDTree.build(all)
       members.iterator.collect { case (p, true) if tree.countWithin(p.x, eps) >= minPts => p.id.toInt }
     }.collect().foreach(isCore(_) = true)
-    val bcCore = sc.broadcast(isCore)
 
-    try {
+    Par.sharing(sc) { share =>
+      val bcCore = share(isCore)
       // Pass 2: local clustering; merge through halo points. Border points
       // emit one representative core neighbor per local component.
       val (mergePairs, borderReps) = {
@@ -101,6 +94,6 @@ object HpDbscan {
       }
       DBSCANResult(n, isCore, cluster, border, numClusters,
         RunStats(0, 0, 0, 0, GraphStats(0, 0, 0, 0, 0)))
-    } finally bcCore.destroy()
+    }
   }
 }

@@ -1,8 +1,5 @@
 package repro.baselines
 
-import scala.collection.mutable.ArrayBuffer
-import scala.reflect.ClassTag
-import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.SparkSession
 import repro.core._
 import repro.geometry.{KDTree, UnionFind}
@@ -26,13 +23,10 @@ object PdsDbscan {
     val sc = spark.sparkContext
     val byId = CellIndex.byId(pts, eps, minPts)
     val n = byId.length
-    // Every broadcast of the run is destroyed on exit, also when a job fails.
-    val shared = ArrayBuffer[Broadcast[_]]()
-    def share[T: ClassTag](v: T): Broadcast[T] = { val b = sc.broadcast(v); shared += b; b }
-    try {
+    Par.sharing(sc) { share =>
       val bcPts = share(byId)
       val bcTree = share(KDTree.build(byId))
-      val parts = repro.core.Par.parts(n / 256 + 1, repro.core.Par.threads(sc, par))
+      val parts = Par.parts(n / 256 + 1, Par.threads(sc, par))
       val ids = sc.parallelize(0 until n, parts)
 
       // Pass 1: core flags via pointwise range counting.
@@ -77,6 +71,6 @@ object PdsDbscan {
 
       DBSCANResult(n, isCore, cluster, border, numClusters,
         RunStats(0, 0, 0, 0, GraphStats(0, 0, 0, 0, 0)))
-    } finally shared.foreach(_.destroy())
+    }
   }
 }

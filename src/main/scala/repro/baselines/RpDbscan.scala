@@ -35,7 +35,7 @@ object RpDbscan {
     val side = CellIndex.sideFor(eps, d)
 
     // (1)+(2) random partitioning, then per-partition cell dictionaries.
-    val numParts = sc.defaultParallelism * 4
+    val numParts = Par.threads(sc, 0) * 4
     val dicts = points
       .map(p => ((p.id * 0x9E3779B97F4A7C15L).abs % numParts.toLong, p))
       .partitionBy(new org.apache.spark.HashPartitioner(numParts))
@@ -63,7 +63,7 @@ object RpDbscan {
     // Full cell boxes, d values per cell, and the neighbor cells of each.
     val lo = keys.flatMap(_.map(_ * side))
     val hi = keys.flatMap(_.map(k => (k + 1) * side))
-    val nbrs = CellIndex.neighborLists(sc, lo, hi, d, eps)
+    val nbrs = CellIndex.neighborLists(sc, lo, hi, d, eps, par = 0)
 
     // (4a) core cells: exact for dense cells, neighbor-count approximation
     // for sparse ones (the approximation RP-DBSCAN's two-level cells admit).
@@ -102,11 +102,11 @@ object RpDbscan {
     }
 
     // (5) final labeling pass over all points.
-    val bcKeyToId = sc.broadcast(keyToId)
-    val bcCoreCell = sc.broadcast(isCoreCell)
-    val bcCellCluster = sc.broadcast(cellCluster)
-    val bcNbr = sc.broadcast(cellNbrClusters)
-    try {
+    Par.sharing(sc) { share =>
+      val bcKeyToId = share(keyToId)
+      val bcCoreCell = share(isCoreCell)
+      val bcCellCluster = share(cellCluster)
+      val bcNbr = share(cellNbrClusters)
       val labeled = points.map { p =>
         val c = bcKeyToId.value(CellIndex.gridKey(p.x, side))
         if (bcCoreCell.value(c)) (p.id, true, Array(bcCellCluster.value(c)))
@@ -125,6 +125,6 @@ object RpDbscan {
       }
       DBSCANResult(n, isCore, cluster, border, numClusters,
         RunStats(0, 0, 0, 0, GraphStats(m, isCoreCell.count(identity), 0, 0, 0)))
-    } finally Seq(bcKeyToId, bcCoreCell, bcCellCluster, bcNbr).foreach(_.destroy())
+    }
   }
 }

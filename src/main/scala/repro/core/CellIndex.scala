@@ -94,22 +94,26 @@ object CellIndex {
     ArraySeq.unsafeWrapArray(k)
   }
 
-  /** Grid-based construction (paper §4.1, used for all d). */
-  def grid(points: RDD[Pt], eps: Double, d: Int): CellIndex = {
+  /** Grid-based construction (paper §4.1, used for all d). Every stage runs
+    * at most `Par.parts(·, par)` tasks, like the later phases. */
+  def grid(points: RDD[Pt], eps: Double, d: Int, par: Int = 0): CellIndex = {
     val side = sideFor(eps, d)
-    build(points, eps, d)(p => gridKey(p.x, side))
+    build(Par.coalesce(points, par), eps, d, par)(p => gridKey(p.x, side))
   }
 
   /** Box-based construction (paper §4.2, 2D only): x-strips of width ≤ ε/√2,
     * then y-boxes of height ≤ ε/√2 inside each strip. Strip/box boundaries
     * are the same ones the paper's pointer-jumping computes: a new strip
-    * starts at the first point more than ε/√2 past the current strip start. */
-  def box2d(points: RDD[Pt], eps: Double): CellIndex = {
+    * starts at the first point more than ε/√2 past the current strip start.
+    * Every stage runs at most `Par.parts(·, par)` tasks, like the later
+    * phases. */
+  def box2d(points: RDD[Pt], eps: Double, par: Int = 0): CellIndex = {
     val side = sideFor(eps, 2)
+    val pts = Par.coalesce(points, par)
     // Strip and per-strip y boundaries from the sorted coordinates (a driver
     // scan over primitive arrays — the O(n) sequential dependence the paper
     // removes with pointer jumping; at single-node scale it is negligible).
-    val xy = points.flatMap(p => checked(p, 2).x).collect()
+    val xy = pts.flatMap(p => checked(p, 2).x).collect()
     val n = xy.length / 2
     val xs = Array.tabulate(n)(i => xy(2 * i))
     java.util.Arrays.sort(xs)
@@ -117,12 +121,14 @@ object CellIndex {
     val ys = Array.fill(strips.length)(new mutable.ArrayBuilder.ofDouble)
     for (i <- 0 until n) ys(lastLeq(strips, xy(2 * i))) += xy(2 * i + 1)
     val yBounds = ys.map { b => val a = b.result(); java.util.Arrays.sort(a); boundaries(a, side) }
-    val bc = points.sparkContext.broadcast((strips, yBounds))
-    try build(points, eps, 2) { p =>
-      val (st, yb) = bc.value
-      val s = lastLeq(st, p.x(0))
-      ArraySeq(s, lastLeq(yb(s), p.x(1)))
-    } finally bc.destroy()
+    Par.sharing(pts.sparkContext) { share =>
+      val bc = share((strips, yBounds))
+      build(pts, eps, 2, par) { p =>
+        val (st, yb) = bc.value
+        val s = lastLeq(st, p.x(0))
+        ArraySeq(s, lastLeq(yb(s), p.x(1)))
+      }
+    }
   }
 
   /** `p`, once it has exactly `d` finite coordinates and, with `intId`, an
@@ -143,11 +149,12 @@ object CellIndex {
     * The paper's work-efficient semisort groups points by cell id without
     * ordering; the Spark analogue is a combiner-style shuffle: each partition
     * pre-groups its points into primitive-packed (ids, coords) arrays per
-    * cell (PBBS's per-block histograms), then `reduceByKey` concatenates —
-    * only flat arrays cross the shuffle, never per-point objects. The driver
-    * concatenates the cells into the cell-ordered layout, then finds each
-    * cell's neighbors with `neighborLists`. */
-  private def build(points: RDD[Pt], eps: Double, d: Int)(key: Pt => ArraySeq[Int]): CellIndex = {
+    * cell (PBBS's per-block histograms), then `reduceByKey` concatenates in
+    * as many tasks as `points` has partitions — only flat arrays cross the
+    * shuffle, never per-point objects. The driver concatenates the cells
+    * into the cell-ordered layout, then finds each cell's neighbors with
+    * `neighborLists`. */
+  private def build(points: RDD[Pt], eps: Double, d: Int, par: Int)(key: Pt => ArraySeq[Int]): CellIndex = {
     val grouped = points
       .mapPartitions { it =>
         val local = mutable.HashMap[ArraySeq[Int], (mutable.ArrayBuilder.ofInt, mutable.ArrayBuilder.ofDouble)]()
@@ -159,7 +166,7 @@ object CellIndex {
         }
         local.iterator.map { case (k, (ids, cs)) => (k, (ids.result(), cs.result())) }
       }
-      .reduceByKey { (a, b) => (a._1 ++ b._1, a._2 ++ b._2) }
+      .reduceByKey((a, b) => (a._1 ++ b._1, a._2 ++ b._2), points.getNumPartitions)
       .collect()
     val m = grouped.length
     val sizes = grouped.map(_._2._1.length)
@@ -177,7 +184,7 @@ object CellIndex {
       System.arraycopy(bb.hi, 0, hi, c * d, d)
     }
     requireDense(ids.length)(ids(_))
-    val lists = neighborLists(points.sparkContext, lo, hi, d, eps)
+    val lists = neighborLists(points.sparkContext, lo, hi, d, eps, par)
     new CellIndex(eps, sideFor(eps, d), d, sizes, ids, coords, lo, hi, lists.map(_.length), lists.flatten)
   }
 
@@ -187,24 +194,27 @@ object CellIndex {
     * (paper §5.1: enumerating the neighbor cells is exponential in d, the
     * tree finds only the non-empty ones): centers within ε + the largest box
     * diagonal cover every box within ε, and the box distance filters them.
-    * The per-box queries are one Spark job over the broadcast tree and boxes;
-    * on the driver they are the bottleneck when most cells hold one point. */
+    * The per-box queries are one [[Par.perCell]] pass over the broadcast tree
+    * and boxes; on the driver they are the bottleneck when most cells hold
+    * one point. */
   private[repro] def neighborLists(sc: SparkContext, lo: Array[Double], hi: Array[Double], d: Int,
-                                   eps: Double): Array[Array[Int]] = {
+                                   eps: Double, par: Int): Array[Array[Int]] = {
     val m = lo.length / d
     val centers = Array.tabulate(m * d)(i => (lo(i) + hi(i)) / 2)
     // A box's squared diagonal is its corner `lo`'s squared distance to its far corner.
     val maxDiag2 = (0 until m).iterator.map(c => BBox.maxSqDistTo(lo, hi, c * d, d, lo, c * d)).maxOption
     val r = eps + math.sqrt(maxDiag2.getOrElse(0.0))
     val e2 = eps * eps
-    val bc = sc.broadcast((KDTree.over(centers, d, Array.range(0, m)), lo, hi))
-    try Par.perCell(sc, 0 until m, par = 0) { c =>
-      val (tree, bl, bh) = bc.value
-      val q = Array.tabulate(d)(j => (bl(c * d + j) + bh(c * d + j)) / 2)
-      val near = tree.within(q, r).filter(h => h != c && BBox.sqDistBetween(bl, bh, c * d, bl, bh, h * d, d) <= e2)
-      java.util.Arrays.sort(near)
-      Some(near)
-    } finally bc.destroy()
+    Par.sharing(sc) { share =>
+      val bc = share((KDTree.over(centers, d, Array.range(0, m)), lo, hi))
+      Par.perCell(sc, 0 until m, par) { c =>
+        val (tree, bl, bh) = bc.value
+        val q = Array.tabulate(d)(j => (bl(c * d + j) + bh(c * d + j)) / 2)
+        val near = tree.within(q, r).filter(h => h != c && BBox.sqDistBetween(bl, bh, c * d, bl, bh, h * d, d) <= e2)
+        java.util.Arrays.sort(near)
+        Some(near)
+      }
+    }
   }
 
   /** Every per-point array is indexed by id, so the ids `idAt(0 until n)`
@@ -245,8 +255,9 @@ object CellIndex {
     out.toArray
   }
 
-  /** Index of the last boundary ≤ v (boundaries sorted ascending). */
-  private def lastLeq(bounds: Array[Double], v: Double): Int = {
+  /** Index of the last boundary ≤ v (boundaries sorted ascending), or 0
+    * when none is. Shared with HpDbscan's slab lookup. */
+  private[repro] def lastLeq(bounds: Array[Double], v: Double): Int = {
     var lo = 0; var hi = bounds.length - 1
     while (lo < hi) {
       val mid = (lo + hi + 1) >>> 1

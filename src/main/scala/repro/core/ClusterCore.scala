@@ -51,7 +51,6 @@ object ClusterCore {
         val uf = new UnionFind(m)
         var candidate = 0L; var run = 0L; var edges = 0L
         for (batch <- order.grouped(batchSize)) {
-          val bcSnap = sc.broadcast(Array.tabulate(m)(uf.find))
           // Each unordered pair is owned by its later cell in `order`: owner
           // g takes as candidates the neighbors h before it (more core points,
           // or as many and a smaller id), so a pair is considered exactly
@@ -61,30 +60,33 @@ object ClusterCore {
           // pruned when the two components — as of the start of the batch,
           // joined by every link found earlier in its task — are already
           // connected. Tasks evaluate in parallel.
-          val owned = try Par.perCell(sc, batch, par) {
-            val (i, c, snap) = (bcIdx.value, bcCtx.value, bcSnap.value)
-            val local = new UnionFind(m)
-            g => {
-              val hits = new scala.collection.mutable.ArrayBuilder.ofInt
-              var candidates = 0; var queries = 0
-              var k = i.nbrStart(g)
-              while (k < i.nbrStart(g + 1)) {
-                val h = i.nbrs(k)
-                if (c.coreCount(h) > c.coreCount(g) || (c.coreCount(h) == c.coreCount(g) && h < g)) {
-                  candidates += 1
-                  if (local.find(snap(g)) != local.find(snap(h))) {
-                    queries += 1
-                    if (CellGraph.connected(i, c, method, g, h, bcFlags.value)) {
-                      local.union(snap(g), snap(h))
-                      hits += h
+          val owned = Par.sharing(sc) { share =>
+            val bcSnap = share(Array.tabulate(m)(uf.find))
+            Par.perCell(sc, batch, par) {
+              val (i, c, snap) = (bcIdx.value, bcCtx.value, bcSnap.value)
+              val local = new UnionFind(m)
+              g => {
+                val hits = new scala.collection.mutable.ArrayBuilder.ofInt
+                var candidates = 0; var queries = 0
+                var k = i.nbrStart(g)
+                while (k < i.nbrStart(g + 1)) {
+                  val h = i.nbrs(k)
+                  if (c.coreCount(h) > c.coreCount(g) || (c.coreCount(h) == c.coreCount(g) && h < g)) {
+                    candidates += 1
+                    if (local.find(snap(g)) != local.find(snap(h))) {
+                      queries += 1
+                      if (CellGraph.connected(i, c, method, g, h, bcFlags.value)) {
+                        local.union(snap(g), snap(h))
+                        hits += h
+                      }
                     }
                   }
+                  k += 1
                 }
-                k += 1
+                Some((g, hits.result(), candidates, queries))
               }
-              Some((g, hits.result(), candidates, queries))
             }
-          } finally bcSnap.destroy()
+          }
           owned.foreach { case (g, hits, c, q) =>
             candidate += c
             run += q

@@ -5,7 +5,7 @@ import scala.reflect.ClassTag
 import org.apache.spark.SparkContext
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 
 /** Full configuration of one DBSCAN run — the cross product of the paper's
   * implementation variants (§7.1). */
@@ -16,7 +16,7 @@ final case class DBSCANConfig(
     coreMethod: CoreMethod = ScanCore,
     graphMethod: GraphMethod = BcpGraph,
     bucketing: Boolean = false,
-    parallelism: Int = 0, // 0 = sc.defaultParallelism; the "thread count" knob
+    parallelism: Int = 0, // 0 = Spark's default parallelism; the "thread count" knob
 ) {
   DBSCANConfig.requireParams(eps, minPts)
 
@@ -106,8 +106,9 @@ final case class DBSCANResult(
   def numNoise: Int = (0 until n).count(isNoise)
 }
 
-/** Partition-count policy: the number of Spark partitions plays the role of
-  * the paper's thread count (speedup experiments sweep it). */
+/** The resources of every Spark stage of a run: how many tasks it runs and
+  * when its broadcasts die. The number of tasks plays the role of the
+  * paper's thread count (speedup experiments sweep it). */
 object Par {
   /** Partitions for `work` items at target parallelism `par`: small targets
     * get exactly `par` partitions (true serial/dual runs); larger ones get
@@ -118,6 +119,27 @@ object Par {
   /** Target parallelism: `par`, or Spark's default when `par <= 0`. */
   private[repro] def threads(sc: SparkContext, par: Int): Int =
     if (par > 0) par else sc.defaultParallelism
+
+  /** `rdd` merged without a shuffle down to `parts(partitions, par)`
+    * partitions, or `rdd` itself when it has no more than that, so the
+    * stages that read it run at most that many tasks. */
+  private[core] def coalesce[T](rdd: RDD[T], par: Int): RDD[T] = {
+    val n = parts(rdd.getNumPartitions, threads(rdd.sparkContext, par))
+    if (rdd.getNumPartitions > n) rdd.coalesce(n) else rdd
+  }
+
+  /** Broadcasts values for the scope of one [[sharing]] call. */
+  private[repro] final class Share private[Par] (sc: SparkContext) {
+    private[Par] val made = ArrayBuffer[Broadcast[_]]()
+    def apply[T: ClassTag](v: T): Broadcast[T] = { val b = sc.broadcast(v); made += b; b }
+  }
+
+  /** Runs `body` with a [[Share]]; every broadcast made through it is
+    * destroyed when `body` returns or throws. */
+  private[repro] def sharing[R](sc: SparkContext)(body: Share => R): R = {
+    val share = new Share(sc)
+    try body(share) finally share.made.foreach(_.destroy())
+  }
 
   /** The parallel loop over cells of the neighbor search, MarkCore, the
     * ConnCtx build, each ClusterCore bucket and ClusterBorder: runs the
@@ -141,14 +163,11 @@ object DBSCAN {
     val sc = spark.sparkContext
     val par = cfg.parallelism
     require(cfg.cellMethod == GridCells || d == 2, "box cells are 2D-only")
-    // Every broadcast of the run is destroyed on exit, also when a phase throws.
-    val shared = ArrayBuffer[Broadcast[_]]()
-    def share[T: ClassTag](v: T): Broadcast[T] = { val b = sc.broadcast(v); shared += b; b }
-    try {
+    Par.sharing(sc) { share =>
       var t0 = System.nanoTime()
       val idx = cfg.cellMethod match {
-        case GridCells => CellIndex.grid(points, cfg.eps, d)
-        case BoxCells  => CellIndex.box2d(points, cfg.eps)
+        case GridCells => CellIndex.grid(points, cfg.eps, d, par)
+        case BoxCells  => CellIndex.box2d(points, cfg.eps, par)
       }
       val bcIdx = share(idx)
       val gridMs = (System.nanoTime() - t0) / 1000000
@@ -174,37 +193,38 @@ object DBSCAN {
       val border = ClusterBorder.run(sc, bcIdx, bcFlags, bcCellCluster, cfg.minPts, par)
       val borderMs = (System.nanoTime() - t0) / 1000000
 
-      // Per-point cluster ids for core points.
+      // Per-point cluster ids for core points: a core point's cell is a core cell.
       val n = idx.n.toInt
       val coreCluster = Array.fill(n)(-1)
-      var c = 0
-      while (c < idx.numCells) {
-        if (cellCluster(c) >= 0) {
-          var p = idx.start(c)
-          while (p < idx.start(c + 1)) {
-            if (flags(idx.ids(p))) coreCluster(idx.ids(p)) = cellCluster(c)
-            p += 1
-          }
-        }
-        c += 1
-      }
+      for (c <- 0 until idx.numCells; p <- idx.start(c) until idx.start(c + 1) if flags(idx.ids(p)))
+        coreCluster(idx.ids(p)) = cellCluster(c)
       DBSCANResult(n, flags, coreCluster, border, cellCluster.maxOption.fold(0)(_ + 1),
         RunStats(gridMs, markMs, coreMs, borderMs, gStats))
-    } finally shared.foreach(_.destroy())
+    }
   }
 
   /** DataFrame convenience wrapper: clusters rows of `df` on the given
-    * coordinate columns, returning (id, is_core, clusters array<int>). The
-    * `id` column may hold any unique values; the run numbers the rows
-    * densely and each output row carries its input row's `id`. */
+    * numeric coordinate columns, returning (id, is_core, clusters
+    * array<int>). The `id` column may hold any unique non-null values of any
+    * type; the run numbers the rows densely and each output row carries its
+    * input row's `id`, typed as in `df`. A null id throws, and so does a
+    * null coordinate, naming its row's id. */
   def runDF(spark: SparkSession, df: DataFrame, cols: Seq[String], cfg: DBSCANConfig): DataFrame = {
+    import scala.jdk.CollectionConverters._
     import org.apache.spark.sql.functions._
-    val rows = df.select(col("id").cast("long"), array(cols.map(col): _*)).rdd.zipWithIndex()
-    val ids = rows.map(_._1.getLong(0)).collect() // the caller's id of dense id i
-    val seen = new java.util.HashSet[Long]()
-    ids.foreach(id => require(seen.add(id), s"duplicate id $id: runDF needs a unique id column"))
+    import org.apache.spark.sql.types._
+    val rows = df.select(col("id"), array(cols.map(col(_).cast(DoubleType)): _*)).rdd.zipWithIndex()
+    // The caller's id of dense id i, and whether its row has a null coordinate.
+    val ids = rows.map { case (r, _) => (r.get(0), r.getSeq[Any](1).contains(null)) }.collect()
+    val seen = new java.util.HashSet[Any]()
+    ids.foreach { case (id, nullCoord) =>
+      require(id != null, "null id: runDF needs an id in every row")
+      require(!nullCoord, s"point $id has a null coordinate in [${cols.mkString(", ")}]")
+      require(seen.add(id), s"duplicate id $id: runDF needs a unique id column")
+    }
     val res = run(spark, rows.map { case (r, i) => Pt(i, r.getSeq[Double](1).toArray) }, cols.length, cfg)
-    val out = ids.indices.map(i => (ids(i), res.isCore(i), res.clustersOf(i).toSeq.sorted))
-    spark.createDataFrame(out).toDF("id", "is_core", "clusters")
+    val out = ids.indices.map(i => Row(ids(i)._1, res.isCore(i), res.clustersOf(i).toSeq.sorted))
+    spark.createDataFrame(out.asJava, StructType(Seq(df.schema("id").copy(nullable = false)))
+      .add("is_core", BooleanType, nullable = false).add("clusters", ArrayType(IntegerType, false), nullable = false))
   }
 }

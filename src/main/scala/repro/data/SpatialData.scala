@@ -54,30 +54,23 @@ object SpatialData {
     val nWalk = n - nNoise
     // One chunk per restart segment: the walk inside a segment is sequential,
     // segments are independent — same structure the PBBS/G&T generator has.
-    val perSeg = (nWalk + numRestarts - 1) / numRestarts
-    val segs = (0 until numRestarts).map { k =>
-      val s = k.toLong * perSeg
-      (k, s, math.min(nWalk, s + perSeg))
-    }.filter { case (_, s, e) => e > s }
-    val walk = spark.sparkContext
-      .parallelize(segs, segs.size)
-      .flatMap { case (k, s, e) =>
-        val rnd = new SplittableRandom(seed * 1000003L + k)
-        // Density scale: simden uses 1 for all segments; varden spreads
-        // segments across a 1..8x radius range (≈64x density range in 2D).
-        val scale = if (varden) math.pow(2.0, 3.0 * k.toDouble / math.max(1, numRestarts - 1)) else 1.0
-        val spray = 100.0 * scale     // spray radius around the center
-        val drift = 2.0 * scale      // center movement per emitted point
-        val c = Array.fill(d)(rnd.nextDouble() * DomainSide)
-        (s until e).iterator.map { i =>
-          var j = 0
-          while (j < d) { c(j) = clampDomain(c(j) + (rnd.nextDouble() * 2 - 1) * drift); j += 1 }
-          val x = new Array[Double](d)
-          j = 0
-          while (j < d) { x(j) = clampDomain(c(j) + (rnd.nextDouble() * 2 - 1) * spray); j += 1 }
-          Pt(i, x)
-        }
+    val walk = chunked(spark, nWalk, numRestarts) { (k, s, e) =>
+      val rnd = new SplittableRandom(seed * 1000003L + k)
+      // Density scale: simden uses 1 for all segments; varden spreads
+      // segments across a 1..8x radius range (≈64x density range in 2D).
+      val scale = if (varden) math.pow(2.0, 3.0 * k.toDouble / math.max(1, numRestarts - 1)) else 1.0
+      val spray = 100.0 * scale     // spray radius around the center
+      val drift = 2.0 * scale      // center movement per emitted point
+      val c = Array.fill(d)(rnd.nextDouble() * DomainSide)
+      (s until e).iterator.map { i =>
+        var j = 0
+        while (j < d) { c(j) = clampDomain(c(j) + (rnd.nextDouble() * 2 - 1) * drift); j += 1 }
+        val x = new Array[Double](d)
+        j = 0
+        while (j < d) { x(j) = clampDomain(c(j) + (rnd.nextDouble() * 2 - 1) * spray); j += 1 }
+        Pt(i, x)
       }
+    }
     val noise = chunked(spark, nNoise, 8) { (c, s, e) =>
       val rnd = new SplittableRandom(seed * 7777779L + c)
       (s until e).iterator.map(i => Pt(nWalk + i, Array.fill(d)(rnd.nextDouble() * DomainSide)))
@@ -128,22 +121,22 @@ object SpatialData {
   def cosmoSim(spark: SparkSession, n: Long, seed: Long = 45): RDD[Pt] =
     seedSpreader(spark, n, d = 3, varden = false, numRestarts = 20, noiseFrac = 0.05, seed = seed)
 
-  /** OpenStreetMap stand-in (2D GPS): many dense blobs (cities) with sizes
+  /** OpenStreetMap stand-in (2D GPS): 64 dense blobs (cities) with sizes
     * following a power law, over a uniform background. */
-  def osmSim(spark: SparkSession, n: Long, numCities: Int = 64, seed: Long = 46): RDD[Pt] = {
+  def osmSim(spark: SparkSession, n: Long, seed: Long = 46): RDD[Pt] = {
     val d = 2
     chunked(spark, n, 64) { (c, s, e) =>
       val rnd = new SplittableRandom(seed * 5500001L + c)
       // City centers/sizes are derived from the seed alone (same in every
       // chunk), so chunks agree on the geography.
       val crnd = new SplittableRandom(seed)
-      val cities = Array.fill(numCities)(
+      val cities = Array.fill(64)(
         (crnd.nextDouble() * DomainSide, crnd.nextDouble() * DomainSide,
          40.0 * math.pow(crnd.nextDouble(), -0.5))) // sigma in [40, ~inf), power-law-ish
       (s until e).iterator.map { i =>
         val x = new Array[Double](d)
         if (rnd.nextDouble() < 0.9) {
-          val (cx, cy, sg) = cities(rnd.nextInt(numCities))
+          val (cx, cy, sg) = cities(rnd.nextInt(cities.length))
           x(0) = clampDomain(cx + rnd.nextGaussian() * sg)
           x(1) = clampDomain(cy + rnd.nextGaussian() * sg)
         } else {

@@ -56,8 +56,8 @@ object Sweeps {
   }
 
   /** Figures 8-9: speedup vs parallelism (partitions stand in for threads). */
-  def speedup(spark: SparkSession, scale: Double = 1.0,
-              pars: Seq[Int] = Seq(1, 2, 4, 8, 16)): Outcome = {
+  def speedup(spark: SparkSession, scale: Double = 1.0): Outcome = {
+    val pars = Seq(1, 2, 4, 8, 16)
     // 50k keeps the serial (p=1) baseline runs of the pointwise competitors
     // within minutes — the paper's 1-hour cutoff scaled to our sizes.
     val datasets = Seq(

@@ -132,4 +132,29 @@ class BroadcastLeakSpec extends SparkSpec {
         intercept[SparkException](cancellingJob(k)(baselines(name)()))
       }
     }
+
+  /** The number of Spark jobs `body` runs. */
+  private def jobsOf(body: => Unit): Int = {
+    val sc = spark.sparkContext
+    val group = s"count-jobs-${System.nanoTime()}"
+    sc.setJobGroup(group, "count jobs")
+    try body finally sc.clearJobGroup()
+    sc.listenerBus.waitUntilEmpty()
+    sc.statusTracker.getJobIdsForGroup(group).length
+  }
+
+  test("an our-exact-bucketing run cancelled at any of its jobs leaves no broadcast") {
+    val cfg = DBSCANConfig.named("our-exact-bucketing", 3.0, 5, 0.0).get
+    def run() = DBSCAN.run(spark, spark.sparkContext.parallelize(pts2d.toSeq, 4), 2, cfg)
+    var res: DBSCANResult = null
+    val jobs = jobsOf { res = run() }
+    // Both buckets hold core cells, so ClusterCore runs two jobs and two snapshots.
+    assert(res.stats.graph.numCoreCells >= cfg.numBuckets)
+    assert(jobs >= 6, s"$jobs jobs") // cells 2, MarkCore 1, buckets 2, ClusterBorder 1
+    for (k <- 1 to jobs) withClue(s"job $k of $jobs: ") {
+      assertNoLeak {
+        intercept[SparkException](cancellingJob(k)(run()))
+      }
+    }
+  }
 }

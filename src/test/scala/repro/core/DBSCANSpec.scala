@@ -1,5 +1,11 @@
 package repro.core
 
+import org.apache.spark.scheduler.{SparkListener, SparkListenerStageSubmitted}
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.{col, concat, lit, when}
+import org.apache.spark.sql.types.StringType
+import org.scalatest.concurrent.Eventually._
+import org.scalatest.time.SpanSugar._
 import repro.{SparkSpec, TestUtil}
 import repro.baselines.NaiveDBSCAN
 
@@ -116,6 +122,84 @@ class DBSCANSpec extends SparkSpec {
     val e = intercept[IllegalArgumentException](
       DBSCAN.runDF(spark, TestUtil.ptsDF(spark, pts), Seq("x0", "x1"), DBSCANConfig.exact(2.5, 8)))
     assert(e.getMessage.contains("duplicate id 4"), e.getMessage)
+  }
+
+  /** runDF's output `out` as a result over dense ids; `denseOf` maps an
+    * output id back to its dense id. */
+  private def fromDF(out: DataFrame, n: Int)(denseOf: Any => Int): DBSCANResult = {
+    val rows = new Array[(Boolean, Array[Int])](n)
+    out.collect().foreach(r => rows(denseOf(r.get(0))) = (r.getBoolean(1), r.getSeq[Int](2).toArray))
+    DBSCANResult(n, rows.map(_._1), rows.map(r => if (r._1) r._2(0) else -1),
+      rows.map(r => if (r._1) Array.empty[Int] else r._2), rows.flatMap(_._2).distinct.length,
+      RunStats(0, 0, 0, 0, GraphStats(0, 0, 0, 0, 0)))
+  }
+
+  test("runDF clusters integer coordinate columns") {
+    // Integer-valued coordinates, so the int columns hold them exactly.
+    val pts = TestUtil.blobPts(200, 2, 2, 2.0, 30.0, 0.2, 17L).map(p => Pt(p.id, p.x.map(v => math.rint(v * 10))))
+    val df = TestUtil.ptsDF(spark, pts).select(col("id"), col("x0").cast("int"), col("x1").cast("int"))
+    val out = DBSCAN.runDF(spark, df, Seq("x0", "x1"), DBSCANConfig.exact(25, 8))
+    TestUtil.assertSameClustering(fromDF(out, 200)(_.asInstanceOf[Long].toInt), NaiveDBSCAN.run(pts, 25, 8))
+  }
+
+  test("runDF returns a string id column as strings") {
+    val pts = TestUtil.blobPts(200, 2, 2, 2.0, 30.0, 0.2, 17L)
+    val df = TestUtil.ptsDF(spark, pts).withColumn("id", concat(lit("p"), col("id")))
+    val out = DBSCAN.runDF(spark, df, Seq("x0", "x1"), DBSCANConfig.exact(2.5, 8))
+    assert(out.schema("id").dataType === StringType)
+    TestUtil.assertSameClustering(fromDF(out, 200)(_.asInstanceOf[String].tail.toInt),
+      NaiveDBSCAN.run(pts, 2.5, 8))
+  }
+
+  test("runDF rejects a null coordinate or a null id, naming the row") {
+    val df = TestUtil.ptsDF(spark, TestUtil.uniformPts(20, 2, 10.0, 18L))
+    val cfg = DBSCANConfig.exact(2.5, 8)
+    val noX = df.withColumn("x0", when(col("id") === 7, lit(null)).otherwise(col("x0")))
+    val e = intercept[IllegalArgumentException](DBSCAN.runDF(spark, noX, Seq("x0", "x1"), cfg))
+    assert(e.getMessage.contains("point 7 has a null coordinate"), e.getMessage)
+    val noId = df.withColumn("id", when(col("id") === 3, lit(null)).otherwise(col("id")))
+    val e2 = intercept[IllegalArgumentException](DBSCAN.runDF(spark, noId, Seq("x0", "x1"), cfg))
+    assert(e2.getMessage.contains("null id"), e2.getMessage)
+  }
+
+  /** `body`'s result and the task count of every stage it ran, as a listener
+    * filtered to a job group of its own sees them. */
+  private def stageTasks[T](body: => T): (T, Seq[Int]) = {
+    val sc = spark.sparkContext
+    val group = s"stage-tasks-${System.nanoTime()}"
+    val tasks = scala.collection.mutable.ArrayBuffer[Int]() // listener-bus thread until drained
+    @volatile var drained = false
+    val listener = new SparkListener {
+      override def onStageSubmitted(e: SparkListenerStageSubmitted): Unit =
+        Option(e.properties).map(_.getProperty("spark.jobGroup.id")).getOrElse("") match {
+          case `group`                     => tasks += e.stageInfo.numTasks
+          case g if g == s"$group-drained" => drained = true
+          case _                           =>
+        }
+    }
+    sc.addSparkListener(listener)
+    try {
+      sc.setJobGroup(group, "stage task counts")
+      val out = try body finally sc.clearJobGroup()
+      // Listener events arrive in order: once this job's stage is seen, so are body's.
+      sc.setJobGroup(s"$group-drained", "stage task counts")
+      try sc.parallelize(Seq(0), 1).count() finally sc.clearJobGroup()
+      eventually(timeout(10.seconds), interval(20.millis))(assert(drained))
+      (out, tasks.toSeq)
+    } finally sc.removeSparkListener(listener)
+  }
+
+  test("parallelism bounds the task count of every stage of a run") {
+    val pts = TestUtil.blobPts(600, 2, 4, 2.0, 60.0, 0.2, 21L)
+    val want = NaiveDBSCAN.run(pts, 3.0, 8)
+    for (cells <- Seq(GridCells, BoxCells); core <- Seq(ScanCore, QtCore); p <- Seq(1, 2)) {
+      val cfg = DBSCANConfig(3.0, 8, cells, core, bucketing = true, parallelism = p)
+      val input = spark.sparkContext.parallelize(pts.toSeq, 8)
+      val (res, tasks) = stageTasks(DBSCAN.run(spark, input, 2, cfg))
+      TestUtil.assertSameClustering(res, want)
+      assert(tasks.nonEmpty && tasks.forall(_ <= Par.parts(8, p)),
+        s"$cells $core p=$p: stage task counts ${tasks.mkString(", ")}")
+    }
   }
 
   test("every registered variant name round-trips through named and name") {

@@ -57,6 +57,17 @@ class ParSpec extends SparkSpec {
     }
   }
 
+  test("coalesce merges down to Par.parts(partitions, par) and leaves smaller RDDs alone") {
+    val sc = spark.sparkContext
+    val rdd = sc.parallelize(0 until 100, 8)
+    for (par <- Seq(1, 2, 3, 0)) {
+      val merged = Par.coalesce(rdd, par)
+      assert(merged.getNumPartitions === Par.parts(8, Par.threads(sc, par)), s"par=$par")
+      assert(merged.collect().toSeq === (0 until 100), s"par=$par")
+    }
+    assert(Par.coalesce(rdd, 3) eq rdd)
+  }
+
   test("perCell over no cells returns an empty array") {
     assert(Par.perCell(spark.sparkContext, Seq.empty[Int], par = 4)(c => Some(c)).isEmpty)
   }
