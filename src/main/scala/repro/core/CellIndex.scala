@@ -2,8 +2,10 @@ package repro.core
 
 import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
-import org.apache.spark.SparkContext
+import scala.reflect.ClassTag
+import org.apache.spark.{HashPartitioner, SparkContext}
 import org.apache.spark.rdd.RDD
+import org.apache.spark.storage.StorageLevel
 import repro.geometry.KDTree
 
 /** The cell structure shared by every algorithm variant (paper Alg. 1 line 2).
@@ -14,21 +16,24 @@ import repro.geometry.KDTree
   * `cellHi` hold its tight bounding box, and `nbrs[nbrStart(c),
   * nbrStart(c+1))` lists its *neighboring* cells — cells whose boxes are
   * within ε, the only ones that can contain points within ε of this cell's
-  * points. The cell keys only group the points and are not kept. The index stores per-cell counts and derives the
-  * two offset arrays once per JVM: counts compress to a third of the size of
-  * offsets under Spark's broadcast codec.
+  * points. The cell keys only group the points and are not kept. The index
+  * stores per-cell counts and derives the two offset arrays once per JVM:
+  * counts compress to a third of the size of offsets under Spark's broadcast
+  * codec.
   *
   * Cells are disjoint with per-dimension extent ≤ ε/√d, so all points inside
   * one cell are within ε of each other — the invariant both MarkCore's
   * all-core shortcut and ClusterCore's cell graph rely on.
   *
-  * The index is built distributed (cell assignment + grouping runs as a Spark
-  * shuffle, playing the role of the paper's work-efficient semisort) and then
-  * broadcast, emulating shared memory on the single-node cluster: per-cell
-  * tasks get random access to any neighboring cell's points. It holds only
-  * scalars and primitive arrays, so Java serialization is already a compact
-  * broadcast format. The per-cell accessors slice on every call; hot loops
-  * read the flat arrays.
+  * The index is built distributed and then broadcast, emulating shared
+  * memory on the single-node cluster: per-cell tasks get random access to
+  * any neighboring cell's points. The grouping is the paper's semisort as
+  * one Spark shuffle: map tasks hash cell keys to r reducers and send each
+  * reducer one flat block, reducers group their blocks into cells and bound
+  * the cells' boxes, and the driver concatenates the r results (see
+  * `CellIndex.build`). The index holds only scalars and primitive arrays, so
+  * Java serialization is already a compact broadcast format. The per-cell
+  * accessors slice on every call; hot loops read the flat arrays.
   */
 final class CellIndex(
     val eps: Double,
@@ -110,23 +115,26 @@ object CellIndex {
   def box2d(points: RDD[Pt], eps: Double, par: Int = 0): CellIndex = {
     val side = sideFor(eps, 2)
     val pts = Par.coalesce(points, par)
-    // Strip and per-strip y boundaries from the sorted coordinates (a driver
-    // scan over primitive arrays — the O(n) sequential dependence the paper
-    // removes with pointer jumping; at single-node scale it is negligible).
-    val xy = pts.flatMap(p => checked(p, 2).x).collect()
-    val n = xy.length / 2
-    val xs = Array.tabulate(n)(i => xy(2 * i))
-    java.util.Arrays.sort(xs)
-    val strips = boundaries(xs, side)
-    val ys = Array.fill(strips.length)(new mutable.ArrayBuilder.ofDouble)
-    for (i <- 0 until n) ys(lastLeq(strips, xy(2 * i))) += xy(2 * i + 1)
-    val yBounds = ys.map { b => val a = b.result(); java.util.Arrays.sort(a); boundaries(a, side) }
-    Par.sharing(pts.sparkContext) { share =>
-      val bc = share((strips, yBounds))
-      build(pts, eps, 2, par) { p =>
-        val (st, yb) = bc.value
-        val s = lastLeq(st, p.x(0))
-        ArraySeq(s, lastLeq(yb(s), p.x(1)))
+    // Read twice: for the boundaries, then to group.
+    Par.persisting(pts, cached = points.getStorageLevel != StorageLevel.NONE) {
+      // Strip and per-strip y boundaries from the sorted coordinates (a driver
+      // scan over primitive arrays — the O(n) sequential dependence the paper
+      // removes with pointer jumping; at single-node scale it is negligible).
+      val xy = pts.flatMap(p => checked(p, 2).x).collect()
+      val n = xy.length / 2
+      val xs = Array.tabulate(n)(i => xy(2 * i))
+      java.util.Arrays.sort(xs)
+      val strips = boundaries(xs, side)
+      val ys = Array.fill(strips.length)(new mutable.ArrayBuilder.ofDouble)
+      for (i <- 0 until n) ys(lastLeq(strips, xy(2 * i))) += xy(2 * i + 1)
+      val yBounds = ys.map { b => val a = b.result(); java.util.Arrays.sort(a); boundaries(a, side) }
+      Par.sharing(pts.sparkContext) { share =>
+        val bc = share((strips, yBounds))
+        build(pts, eps, 2, par) { p =>
+          val (st, yb) = bc.value
+          val s = lastLeq(st, p.x(0))
+          ArraySeq(s, lastLeq(yb(s), p.x(1)))
+        }
       }
     }
   }
@@ -146,66 +154,122 @@ object CellIndex {
   /** Groups points into cells by `key` and lays the index out; shared by
     * both constructions.
     *
-    * The paper's work-efficient semisort groups points by cell id without
-    * ordering; the Spark analogue is a combiner-style shuffle: each partition
-    * pre-groups its points into primitive-packed (ids, coords) arrays per
-    * cell (PBBS's per-block histograms), then `reduceByKey` concatenates in
-    * as many tasks as `points` has partitions — only flat arrays cross the
-    * shuffle, never per-point objects. The driver concatenates the cells
-    * into the cell-ordered layout, then finds each cell's neighbors with
-    * `neighborLists`. */
+    * The grouping is the paper's semisort (§4.1; Gu et al., SPAA 2015): keys
+    * hash to r buckets, r being `points`' partition count, and each bucket
+    * is grouped in a task of its own. Each map task groups its points by key
+    * and sends reducer b one flat [[Piece]] with its cells whose key hashes
+    * to b (`floorMod(key.hashCode, r)`), so it writes at most r shuffle
+    * records however many cells it holds. Each reducer merges its pieces by
+    * key in map order, so the order of cells and points is deterministic,
+    * and bounds its cells' boxes. The driver concatenates the r results,
+    * then finds each cell's neighbors with `neighborLists`. */
   private def build(points: RDD[Pt], eps: Double, d: Int, par: Int)(key: Pt => ArraySeq[Int]): CellIndex = {
-    val grouped = points
-      .mapPartitions { it =>
-        val local = mutable.HashMap[ArraySeq[Int], (mutable.ArrayBuilder.ofInt, mutable.ArrayBuilder.ofDouble)]()
-        it.foreach { p =>
-          val (ids, cs) = local.getOrElseUpdate(key(checked(p, d)),
-            (new mutable.ArrayBuilder.ofInt, new mutable.ArrayBuilder.ofDouble))
-          ids += p.id.toInt
-          cs ++= p.x
-        }
-        local.iterator.map { case (k, (ids, cs)) => (k, (ids.result(), cs.result())) }
-      }
-      .reduceByKey((a, b) => (a._1 ++ b._1, a._2 ++ b._2), points.getNumPartitions)
+    val r = points.getNumPartitions
+    val parts = points
+      .mapPartitionsWithIndex((map, it) => pieces(map, it, d, r)(p => key(checked(p, d))))
+      .partitionBy(new HashPartitioner(r))
+      .mapPartitions(it => Iterator.single(merge(it.map(_._2).toArray, d)))
       .collect()
-    val m = grouped.length
-    val sizes = grouped.map(_._2._1.length)
-    val start = sizes.scanLeft(0)(_ + _)
-    val ids = new Array[Int](start(m))
-    val coords = new Array[Double](start(m) * d)
-    val lo = new Array[Double](m * d)
-    val hi = new Array[Double](m * d)
-    for (c <- 0 until m) {
-      val (is, cs) = grouped(c)._2
-      System.arraycopy(is, 0, ids, start(c), is.length)
-      System.arraycopy(cs, 0, coords, start(c) * d, cs.length)
-      val bb = BBox.of(cs, d, is.indices)
-      System.arraycopy(bb.lo, 0, lo, c * d, d)
-      System.arraycopy(bb.hi, 0, hi, c * d, d)
-    }
+    def cat[T: ClassTag](f: Cells => Array[T]): Array[T] = Array.concat(ArraySeq.unsafeWrapArray(parts.map(f)): _*)
+    val ids = cat(_.ids)
     requireDense(ids.length)(ids(_))
-    val lists = neighborLists(points.sparkContext, lo, hi, d, eps, par)
-    new CellIndex(eps, sideFor(eps, d), d, sizes, ids, coords, lo, hi, lists.map(_.length), lists.flatten)
+    val (lo, hi) = (cat(_.lo), cat(_.hi))
+    val (nbrCounts, nbrs) = neighborLists(points.sparkContext, lo, hi, d, eps, par)
+    new CellIndex(eps, sideFor(eps, d), d, cat(_.sizes), ids, cat(_.coords), lo, hi, nbrCounts, nbrs)
+  }
+
+  /** Map task `map`'s cells bound for one reducer: per cell, its key (d
+    * ints) and size; per point, in cell order, its id and d coordinates. */
+  private final class Piece(val map: Int, val keys: Array[Int], val sizes: Array[Int],
+                            val ids: Array[Int], val coords: Array[Double]) extends Serializable
+
+  /** A reducer's cells, laid out as the index lays them out: sizes, ids and
+    * coordinates in cell order, and each cell's tight box. */
+  private final class Cells(val sizes: Array[Int], val ids: Array[Int], val coords: Array[Double],
+                            val lo: Array[Double], val hi: Array[Double]) extends Serializable
+
+  /** Map task `map`'s points grouped by key, as one (reducer, piece) per
+    * reducer that gets a cell. */
+  private def pieces(map: Int, it: Iterator[Pt], d: Int, r: Int)(key: Pt => ArraySeq[Int]): Iterator[(Int, Piece)] = {
+    val cells = mutable.HashMap[ArraySeq[Int], (mutable.ArrayBuilder.ofInt, mutable.ArrayBuilder.ofDouble)]()
+    it.foreach { p =>
+      val (ids, xs) = cells.getOrElseUpdate(key(p), (new mutable.ArrayBuilder.ofInt, new mutable.ArrayBuilder.ofDouble))
+      ids += p.id.toInt
+      xs ++= p.x
+    }
+    val keys = Array.fill(r)(new mutable.ArrayBuilder.ofInt)
+    val sizes = Array.fill(r)(new mutable.ArrayBuilder.ofInt)
+    val ids = Array.fill(r)(new mutable.ArrayBuilder.ofInt)
+    val coords = Array.fill(r)(new mutable.ArrayBuilder.ofDouble)
+    cells.foreach { case (k, (is, xs)) =>
+      val b = Math.floorMod(k.hashCode, r)
+      val a = is.result()
+      keys(b) ++= k; sizes(b) += a.length; ids(b) ++= a; coords(b) ++= xs.result()
+    }
+    Iterator.range(0, r).filter(sizes(_).length > 0)
+      .map(b => (b, new Piece(map, keys(b).result(), sizes(b).result(), ids(b).result(), coords(b).result())))
+  }
+
+  /** One reducer's pieces merged by key, each cell's points in map order,
+    * and each cell's tight box. The boxes make the comparisons `BBox.of`
+    * makes in the same order, so they equal its boxes bit for bit. */
+  private def merge(in: Array[Piece], d: Int): Cells = {
+    val cells = mutable.HashMap[ArraySeq[Int], (mutable.ArrayBuilder.ofInt, mutable.ArrayBuilder.ofDouble)]()
+    for (piece <- in.sortBy(_.map)) {
+      var from = 0
+      for (s <- piece.sizes.indices) {
+        val (ids, xs) = cells.getOrElseUpdate(ArraySeq.unsafeWrapArray(piece.keys.slice(s * d, s * d + d)),
+          (new mutable.ArrayBuilder.ofInt, new mutable.ArrayBuilder.ofDouble))
+        val len = piece.sizes(s)
+        ids.addAll(piece.ids, from, len)
+        xs.addAll(piece.coords, from * d, len * d)
+        from += len
+      }
+    }
+    val m = cells.size
+    val sizes = new Array[Int](m)
+    val (ids, coords) = (new mutable.ArrayBuilder.ofInt, new mutable.ArrayBuilder.ofDouble)
+    val lo = Array.fill(m * d)(Double.PositiveInfinity)
+    val hi = Array.fill(m * d)(Double.NegativeInfinity)
+    var c = 0
+    for ((is, xb) <- cells.valuesIterator) {
+      val xs = xb.result()
+      sizes(c) = xs.length / d
+      ids ++= is.result()
+      coords ++= xs
+      var k = 0
+      while (k < xs.length) {
+        val b = c * d + k % d
+        if (xs(k) < lo(b)) lo(b) = xs(k)
+        if (xs(k) > hi(b)) hi(b) = xs(k)
+        k += 1
+      }
+      c += 1
+    }
+    new Cells(sizes, ids.result(), coords.result(), lo, hi)
   }
 
   /** For each of the m boxes that are the `d` values at offset c·d of `lo`
     * and `hi`, the sorted ids of the other boxes within `eps` of it — its
-    * neighboring cells. A k-d tree over the box centers finds the candidates
-    * (paper §5.1: enumerating the neighbor cells is exponential in d, the
-    * tree finds only the non-empty ones): centers within ε + the largest box
-    * diagonal cover every box within ε, and the box distance filters them.
-    * The per-box queries are one [[Par.perCell]] pass over the broadcast tree
-    * and boxes; on the driver they are the bottleneck when most cells hold
-    * one point. */
+    * neighboring cells — as one CSR pair: each box's neighbor count, and the
+    * lists one after another. A k-d tree over the box centers finds the
+    * candidates (paper §5.1: enumerating the neighbor cells is exponential
+    * in d, the tree finds only the non-empty ones): centers within ε + the
+    * largest box diagonal cover every box within ε, and the box distance
+    * filters them. The per-box queries are one [[Par.perCell]] pass over the
+    * broadcast tree and boxes; on the driver they are the bottleneck when
+    * most cells hold one point. */
   private[repro] def neighborLists(sc: SparkContext, lo: Array[Double], hi: Array[Double], d: Int,
-                                   eps: Double, par: Int): Array[Array[Int]] = {
+                                   eps: Double, par: Int): (Array[Int], Array[Int]) = {
     val m = lo.length / d
     val centers = Array.tabulate(m * d)(i => (lo(i) + hi(i)) / 2)
     // A box's squared diagonal is its corner `lo`'s squared distance to its far corner.
-    val maxDiag2 = (0 until m).iterator.map(c => BBox.maxSqDistTo(lo, hi, c * d, d, lo, c * d)).maxOption
-    val r = eps + math.sqrt(maxDiag2.getOrElse(0.0))
+    var maxDiag2 = 0.0
+    var c = 0
+    while (c < m) { maxDiag2 = math.max(maxDiag2, BBox.maxSqDistTo(lo, hi, c * d, d, lo, c * d)); c += 1 }
+    val r = eps + math.sqrt(maxDiag2)
     val e2 = eps * eps
-    Par.sharing(sc) { share =>
+    val lists = Par.sharing(sc) { share =>
       val bc = share((KDTree.over(centers, d, Array.range(0, m)), lo, hi))
       Par.perCell(sc, 0 until m, par) { c =>
         val (tree, bl, bh) = bc.value
@@ -215,6 +279,15 @@ object CellIndex {
         Some(near)
       }
     }
+    val counts = new Array[Int](m)
+    var total = 0
+    c = 0
+    while (c < m) { counts(c) = lists(c).length; total += counts(c); c += 1 }
+    val flat = new Array[Int](total)
+    total = 0
+    c = 0
+    while (c < m) { System.arraycopy(lists(c), 0, flat, total, counts(c)); total += counts(c); c += 1 }
+    (counts, flat)
   }
 
   /** Every per-point array is indexed by id, so the ids `idAt(0 until n)`

@@ -1,5 +1,6 @@
 package repro.core
 
+import scala.collection.immutable.ArraySeq
 import org.apache.spark.SparkContext
 import org.apache.spark.broadcast.Broadcast
 import repro.geometry.{Delaunay, UnionFind}
@@ -43,8 +44,16 @@ object ClusterCore {
     val (uf, stats) = method match {
       case DelaunayGraph => runDelaunay(idx, bcFlags.value, ctx)
       case _ =>
-        // Core cells by core count, descending (paper's SortBySize), ties by id.
-        val order = (0 until m).filter(ctx.coreCount(_) > 0).sortBy(c => (-ctx.coreCount(c), c))
+        // Core cells by core count, descending (paper's SortBySize), ties by
+        // id: each packed as (−count, id) into one Long, for a primitive sort.
+        val packed = new scala.collection.mutable.ArrayBuilder.ofLong
+        var c = 0
+        while (c < m) { if (ctx.coreCount(c) > 0) packed += (-ctx.coreCount(c).toLong << 32) | c; c += 1 }
+        val keys = packed.result()
+        java.util.Arrays.sort(keys)
+        val order = new Array[Int](keys.length)
+        c = 0
+        while (c < keys.length) { order(c) = keys(c).toInt; c += 1 } // the low half: the id
         val batchSize =
           if (bucketing) math.max(1, (order.length + numBuckets - 1) / numBuckets)
           else math.max(1, order.length)
@@ -61,8 +70,8 @@ object ClusterCore {
           // joined by every link found earlier in its task — are already
           // connected. Tasks evaluate in parallel.
           val owned = Par.sharing(sc) { share =>
-            val bcSnap = share(Array.tabulate(m)(uf.find))
-            Par.perCell(sc, batch, par) {
+            val bcSnap = share(uf.roots())
+            Par.perCell(sc, ArraySeq.unsafeWrapArray(batch), par) {
               val (i, c, snap) = (bcIdx.value, bcCtx.value, bcSnap.value)
               val local = new UnionFind(m)
               g => {

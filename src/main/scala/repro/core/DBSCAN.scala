@@ -6,6 +6,7 @@ import org.apache.spark.SparkContext
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.storage.StorageLevel
 
 /** Full configuration of one DBSCAN run — the cross product of the paper's
   * implementation variants (§7.1). */
@@ -128,6 +129,16 @@ object Par {
     if (rdd.getNumPartitions > n) rdd.coalesce(n) else rdd
   }
 
+  /** Runs `body`, which reads `rdd` more than once, with `rdd` persisted
+    * for the call so that it is computed once — unless `cached`: the
+    * caller's input is persisted already, and reading it again costs little. */
+  private[core] def persisting[R](rdd: RDD[_], cached: Boolean)(body: => R): R =
+    if (cached) body
+    else {
+      rdd.persist()
+      try body finally rdd.unpersist(blocking = false)
+    }
+
   /** Broadcasts values for the scope of one [[sharing]] call. */
   private[repro] final class Share private[Par] (sc: SparkContext) {
     private[Par] val made = ArrayBuffer[Broadcast[_]]()
@@ -213,16 +224,20 @@ object DBSCAN {
     import scala.jdk.CollectionConverters._
     import org.apache.spark.sql.functions._
     import org.apache.spark.sql.types._
-    val rows = df.select(col("id"), array(cols.map(col(_).cast(DoubleType)): _*)).rdd.zipWithIndex()
-    // The caller's id of dense id i, and whether its row has a null coordinate.
-    val ids = rows.map { case (r, _) => (r.get(0), r.getSeq[Any](1).contains(null)) }.collect()
-    val seen = new java.util.HashSet[Any]()
-    ids.foreach { case (id, nullCoord) =>
-      require(id != null, "null id: runDF needs an id in every row")
-      require(!nullCoord, s"point $id has a null coordinate in [${cols.mkString(", ")}]")
-      require(seen.add(id), s"duplicate id $id: runDF needs a unique id column")
+    val selected = df.select(col("id"), array(cols.map(col(_).cast(DoubleType)): _*)).rdd
+    // Read three times: to number the rows, to collect the ids, and to cluster.
+    val (ids, res) = Par.persisting(selected, cached = df.storageLevel != StorageLevel.NONE) {
+      val rows = selected.zipWithIndex()
+      // The caller's id of dense id i, and whether its row has a null coordinate.
+      val ids = rows.map { case (r, _) => (r.get(0), r.getSeq[Any](1).contains(null)) }.collect()
+      val seen = new java.util.HashSet[Any]()
+      ids.foreach { case (id, nullCoord) =>
+        require(id != null, "null id: runDF needs an id in every row")
+        require(!nullCoord, s"point $id has a null coordinate in [${cols.mkString(", ")}]")
+        require(seen.add(id), s"duplicate id $id: runDF needs a unique id column")
+      }
+      (ids, run(spark, rows.map { case (r, i) => Pt(i, r.getSeq[Double](1).toArray) }, cols.length, cfg))
     }
-    val res = run(spark, rows.map { case (r, i) => Pt(i, r.getSeq[Double](1).toArray) }, cols.length, cfg)
     val out = ids.indices.map(i => Row(ids(i)._1, res.isCore(i), res.clustersOf(i).toSeq.sorted))
     spark.createDataFrame(out.asJava, StructType(Seq(df.schema("id").copy(nullable = false)))
       .add("is_core", BooleanType, nullable = false).add("clusters", ArrayType(IntegerType, false), nullable = false))

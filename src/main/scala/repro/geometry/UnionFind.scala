@@ -37,6 +37,14 @@ final class UnionFind(n: Int) extends Serializable {
     }
   }
 
+  /** Every element's representative, as `find` gives it. */
+  def roots(): Array[Int] = {
+    val out = new Array[Int](n)
+    var i = 0
+    while (i < n) { out(i) = find(i); i += 1 }
+    out
+  }
+
   /** Dense component labels (paper §4.4, union-find roots → cluster ids):
     * element i gets its component's number in [0, k), components numbered
     * in order of their first included element, or −1 when `include(i)` is

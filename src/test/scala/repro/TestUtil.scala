@@ -1,9 +1,11 @@
 package repro
 
+import org.apache.spark.SparkContext
 import org.apache.spark.rdd.RDD
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.baselines.NaiveDBSCAN
-import repro.core.{CellIndex, DBSCANResult, Dist, Pt}
+import repro.core.{BBox, CellIndex, DBSCANResult, Dist, Pt}
 import repro.geometry.UnionFind
 
 import java.util.SplittableRandom
@@ -35,11 +37,68 @@ object TestUtil {
   /** A generator's points on the driver, in id order. */
   def collect(rdd: RDD[Pt]): Array[Pt] = rdd.collect().sortBy(_.id)
 
+  /** The job group of a job or stage, from its properties. */
+  def jobGroup(props: java.util.Properties): String =
+    Option(props).map(_.getProperty("spark.jobGroup.id")).getOrElse("")
+
+  /** Runs `body` in a job group of its own with the listener `make(group)`
+    * added, and returns once that listener has seen every event of body's
+    * jobs. */
+  def listening[T](sc: SparkContext)(make: String => SparkListener)(body: => T): T = {
+    val group = s"listened-${System.nanoTime()}"
+    @volatile var drained = false
+    // Listeners see the events in order: once this one sees the drain job
+    // start, the other has seen all of body's events.
+    val listeners = Seq(make(group), new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        if (jobGroup(e.properties) == s"$group-drained") drained = true
+    })
+    listeners.foreach(sc.addSparkListener)
+    try {
+      sc.setJobGroup(group, "listened")
+      val out = try body finally sc.clearJobGroup()
+      sc.setJobGroup(s"$group-drained", "drain the listener bus")
+      try sc.parallelize(Seq(0), 1).count() finally sc.clearJobGroup()
+      val deadline = System.nanoTime() + 10000000000L
+      while (!drained && System.nanoTime() < deadline) Thread.sleep(20)
+      require(drained, "the listener bus did not drain in 10 s")
+      out
+    } finally listeners.foreach(sc.removeSparkListener)
+  }
+
   /** The cell of each point id in an index. */
   def cellOf(idx: CellIndex): Array[Int] = {
     val out = new Array[Int](idx.n.toInt)
     for (c <- 0 until idx.numCells; p <- idx.start(c) until idx.start(c + 1)) out(idx.ids(p)) = c
     out
+  }
+
+  /** The cells of an index as sets of point ids. */
+  def cellSets(idx: CellIndex): Set[Set[Int]] =
+    (0 until idx.numCells).map(c => idx.ids.slice(idx.start(c), idx.start(c + 1)).toSet).toSet
+
+  /** Each position of `idx` holds its point's coordinates, and each cell's
+    * `cellLo`/`cellHi` is `BBox.of` over its points, bit for bit. */
+  def assertLaidOut(idx: CellIndex, pts: Array[Pt]): Unit = {
+    val d = idx.d
+    def bits(a: Array[Double]) = a.map(java.lang.Double.doubleToRawLongBits).toSeq
+    for (p <- 0 until idx.n.toInt)
+      require(bits(idx.coords.slice(p * d, p * d + d)) == bits(pts(idx.ids(p)).x), s"coordinates at position $p")
+    for (c <- 0 until idx.numCells) {
+      val bb = BBox.of(idx.coords, d, idx.start(c) until idx.start(c + 1))
+      require(bits(idx.tightLo(c)) == bits(bb.lo) && bits(idx.tightHi(c)) == bits(bb.hi),
+        s"cell $c box [${idx.tightLo(c).mkString(", ")}]..[${idx.tightHi(c).mkString(", ")}]")
+    }
+  }
+
+  /** Two indexes hold the same arrays, element for element. */
+  def assertSameIndex(a: CellIndex, b: CellIndex): Unit = {
+    def bits(x: Array[Double]) = x.map(java.lang.Double.doubleToRawLongBits).toSeq
+    require(a.cellSizes.toSeq == b.cellSizes.toSeq, "cell sizes differ")
+    require(a.ids.toSeq == b.ids.toSeq, "ids differ")
+    require(bits(a.coords) == bits(b.coords), "coordinates differ")
+    require(bits(a.cellLo) == bits(b.cellLo) && bits(a.cellHi) == bits(b.cellHi), "cell boxes differ")
+    require(a.nbrCounts.toSeq == b.nbrCounts.toSeq && a.nbrs.toSeq == b.nbrs.toSeq, "neighbor lists differ")
   }
 
   /** Canonical label of a cluster: the smallest core-point id it contains. */

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.storage.StorageLevel
 import repro.{SparkSpec, TestUtil}
 import repro.baselines.NaiveDBSCAN
 
@@ -54,5 +55,34 @@ class BoxCellsSpec extends SparkSpec {
     val box  = DBSCAN.run(spark, rdd, 2, DBSCANConfig(eps, minPts, cellMethod = BoxCells))
     TestUtil.assertSameClustering(box, grid)
     TestUtil.assertSameClustering(grid, NaiveDBSCAN.run(pts, eps, minPts))
+  }
+
+  test("box cells group the points the same way at every partition count") {
+    val eps = 3.0
+    for (pts <- Seq(TestUtil.blobPts(500, 2, 4, 2.0, 40.0, 0.2, 8L), TestUtil.uniformPts(5, 2, 10.0, 8L))) {
+      val want = TestUtil.cellSets(CellIndex.box2d(spark.sparkContext.parallelize(pts.toSeq, 1), eps, par = 1))
+      for (parts <- Seq(1, 2, 3, 4, 7)) {
+        val input = spark.sparkContext.parallelize(pts.toSeq, parts)
+        val idx = CellIndex.box2d(input, eps, par = parts)
+        assert(TestUtil.cellSets(idx) === want, s"$parts partitions")
+        TestUtil.assertLaidOut(idx, pts)
+        TestUtil.assertSameIndex(CellIndex.box2d(input, eps, par = parts), idx)
+      }
+    }
+  }
+
+  test("box2d computes its input once, and leaves it as persisted as it was") {
+    val pts = TestUtil.blobPts(300, 2, 3, 2.0, 30.0, 0.2, 9L)
+    val reads = spark.sparkContext.longAccumulator("box2d reads")
+    val input = spark.sparkContext.parallelize(pts.toSeq, 4).map { p => reads.add(1); p }
+    val idx = CellIndex.box2d(input, 3.0)
+    assert(reads.value === 300)
+    assert(input.getStorageLevel === StorageLevel.NONE)
+    TestUtil.assertLaidOut(idx, pts)
+    val cached = input.cache()
+    try {
+      CellIndex.box2d(cached, 3.0)
+      assert(cached.getStorageLevel === StorageLevel.MEMORY_ONLY)
+    } finally cached.unpersist()
   }
 }

@@ -2,10 +2,8 @@ package repro.core
 
 import org.apache.spark.scheduler.{SparkListener, SparkListenerStageSubmitted}
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.{col, concat, lit, when}
+import org.apache.spark.sql.functions.{col, concat, lit, udf, when}
 import org.apache.spark.sql.types.StringType
-import org.scalatest.concurrent.Eventually._
-import org.scalatest.time.SpanSugar._
 import repro.{SparkSpec, TestUtil}
 import repro.baselines.NaiveDBSCAN
 
@@ -162,31 +160,26 @@ class DBSCANSpec extends SparkSpec {
     assert(e2.getMessage.contains("null id"), e2.getMessage)
   }
 
-  /** `body`'s result and the task count of every stage it ran, as a listener
-    * filtered to a job group of its own sees them. */
-  private def stageTasks[T](body: => T): (T, Seq[Int]) = {
-    val sc = spark.sparkContext
-    val group = s"stage-tasks-${System.nanoTime()}"
-    val tasks = scala.collection.mutable.ArrayBuffer[Int]() // listener-bus thread until drained
-    @volatile var drained = false
-    val listener = new SparkListener {
-      override def onStageSubmitted(e: SparkListenerStageSubmitted): Unit =
-        Option(e.properties).map(_.getProperty("spark.jobGroup.id")).getOrElse("") match {
-          case `group`                     => tasks += e.stageInfo.numTasks
-          case g if g == s"$group-drained" => drained = true
-          case _                           =>
-        }
+  test("runDF computes the DataFrame once") {
+    val pts = TestUtil.blobPts(200, 2, 2, 2.0, 30.0, 0.2, 17L)
+    for (cells <- Seq(GridCells, BoxCells)) {
+      val reads = spark.sparkContext.longAccumulator("runDF reads")
+      val bump = udf { (x: Double) => reads.add(1); x }.asNondeterministic()
+      val df = TestUtil.ptsDF(spark, pts).withColumn("x0", bump(col("x0")))
+      val out = DBSCAN.runDF(spark, df, Seq("x0", "x1"), DBSCANConfig(2.5, 8, cellMethod = cells))
+      assert(reads.value === 200, s"$cells")
+      TestUtil.assertSameClustering(fromDF(out, 200)(_.asInstanceOf[Long].toInt), NaiveDBSCAN.run(pts, 2.5, 8))
     }
-    sc.addSparkListener(listener)
-    try {
-      sc.setJobGroup(group, "stage task counts")
-      val out = try body finally sc.clearJobGroup()
-      // Listener events arrive in order: once this job's stage is seen, so are body's.
-      sc.setJobGroup(s"$group-drained", "stage task counts")
-      try sc.parallelize(Seq(0), 1).count() finally sc.clearJobGroup()
-      eventually(timeout(10.seconds), interval(20.millis))(assert(drained))
-      (out, tasks.toSeq)
-    } finally sc.removeSparkListener(listener)
+  }
+
+  /** `body`'s result and the task count of every stage it ran. */
+  private def stageTasks[T](body: => T): (T, Seq[Int]) = {
+    val tasks = scala.collection.mutable.ArrayBuffer[Int]() // listener-bus thread until drained
+    val out = TestUtil.listening(spark.sparkContext)(group => new SparkListener {
+      override def onStageSubmitted(e: SparkListenerStageSubmitted): Unit =
+        if (TestUtil.jobGroup(e.properties) == group) tasks += e.stageInfo.numTasks
+    })(body)
+    (out, tasks.toSeq)
   }
 
   test("parallelism bounds the task count of every stage of a run") {

@@ -1,5 +1,7 @@
 package repro.core
 
+import scala.collection.mutable
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskEnd}
 import repro.{Oracle, SparkSpec, TestUtil}
 import repro.TestUtil.assignCellsDF
 
@@ -89,5 +91,64 @@ class GridSpec extends SparkSpec {
     val one = CellIndex.grid(spark.sparkContext.parallelize(Seq(Pt(0, Array(1.0, 1.0)))), 1.0, 2)
     assert(one.numCells === 1)
     assert(one.neighbors(0).isEmpty)
+  }
+
+  for (parts <- Seq(1, 2, 3, 4, 7)) test(s"cells group the points exactly by grid key at $parts partitions") {
+    val eps = 2.0; val side = CellIndex.sideFor(eps, 3)
+    // The 5-point input leaves map tasks and reducers with nothing at 7.
+    for (pts <- Seq(TestUtil.blobPts(400, 3, 4, 2.0, 30.0, 0.2, parts), TestUtil.uniformPts(5, 3, 10.0, parts))) {
+      val input = spark.sparkContext.parallelize(pts.toSeq, parts)
+      val idx = CellIndex.grid(input, eps, 3, par = parts)
+      val byKey = pts.groupBy(p => CellIndex.gridKey(p.x, side)).values.map(_.map(_.id.toInt).toSet).toSet
+      assert(TestUtil.cellSets(idx) === byKey)
+      assert(idx.n === pts.length)
+      TestUtil.assertLaidOut(idx, pts)
+      TestUtil.assertSameIndex(CellIndex.grid(input, eps, 3, par = parts), idx)
+    }
+  }
+
+  test("empty inputs give a 0-cell index and an empty clustering") {
+    val sc = spark.sparkContext
+    for (input <- Seq(sc.emptyRDD[Pt], sc.parallelize(Seq.empty[Pt], 4))) {
+      for (idx <- Seq(CellIndex.grid(input, 1.0, 2), CellIndex.box2d(input, 1.0))) {
+        assert(idx.numCells === 0)
+        assert(idx.n === 0)
+        assert(idx.nbrs.isEmpty)
+      }
+      for (cells <- Seq(GridCells, BoxCells)) {
+        val res = DBSCAN.run(spark, input, 2, DBSCANConfig(1.0, 3, cellMethod = cells))
+        assert(res.n === 0 && res.numClusters === 0 && res.isCore.isEmpty)
+      }
+    }
+  }
+
+  /** `body`'s result and the shuffle records each of its map tasks wrote. */
+  private def shuffleRecords[T](body: => T): (T, Seq[Long]) = {
+    val stages = mutable.Set[Int]()
+    val written = mutable.ArrayBuffer[Long]() // listener-bus thread until drained
+    val out = TestUtil.listening(spark.sparkContext)(group => new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        if (TestUtil.jobGroup(e.properties) == group) stages ++= e.stageIds
+      override def onTaskEnd(e: SparkListenerTaskEnd): Unit =
+        if (stages(e.stageId) && e.taskType == "ShuffleMapTask")
+          written += e.taskMetrics.shuffleWriteMetrics.recordsWritten
+    })(body)
+    (out, written.toSeq)
+  }
+
+  test("the grouping's map tasks write at most one shuffle record per reducer") {
+    val pts = TestUtil.uniformPts(2000, 2, 200.0, 33L)
+    for (parts <- Seq(1, 4)) {
+      val input = spark.sparkContext.parallelize(pts.toSeq, parts)
+      for ((name, build) <- Seq[(String, () => CellIndex)](
+          "grid" -> (() => CellIndex.grid(input, 3.0, 2, par = parts)),
+          "box" -> (() => CellIndex.box2d(input, 3.0, par = parts)))) {
+        val (idx, written) = shuffleRecords(build())
+        // Each map task holds far more than `parts` cells: a record per cell would exceed the bound.
+        assert(idx.numCells > 100 * parts, s"$name: ${idx.numCells} cells")
+        assert(written.length === parts, s"$name: map tasks")
+        assert(written.forall(_ <= parts), s"$name at $parts partitions: records ${written.mkString(", ")}")
+      }
+    }
   }
 }
