@@ -53,12 +53,14 @@ object ConnCtx {
     val coreCount = new Array[Int](m)
     val coreLo = new Array[Array[Double]](m)
     val coreHi = new Array[Array[Double]](m)
+    val cps = new Array[Int](idx.ids.length) // one cell's core positions at a time
     var c = 0
     while (c < m) {
-      val cps = (idx.start(c) until idx.start(c + 1)).filter(p => flags(idx.ids(p)))
-      coreCount(c) = cps.length
-      if (cps.nonEmpty) {
-        val bb = BBox.of(idx.coords, idx.d, cps)
+      var k = 0; var p = idx.start(c); val end = idx.start(c + 1)
+      while (p < end) { if (flags(idx.ids(p))) { cps(k) = p; k += 1 }; p += 1 }
+      coreCount(c) = k
+      if (k > 0) {
+        val bb = BBox.of(idx.coords, idx.d, cps, 0, k)
         coreLo(c) = bb.lo; coreHi(c) = bb.hi
       }
       c += 1

@@ -5,7 +5,6 @@ import scala.collection.mutable
 import scala.reflect.ClassTag
 import org.apache.spark.{HashPartitioner, SparkContext}
 import org.apache.spark.rdd.RDD
-import org.apache.spark.storage.StorageLevel
 import repro.geometry.KDTree
 
 /** The cell structure shared by every algorithm variant (paper Alg. 1 line 2).
@@ -116,7 +115,7 @@ object CellIndex {
     val side = sideFor(eps, 2)
     val pts = Par.coalesce(points, par)
     // Read twice: for the boundaries, then to group.
-    Par.persisting(pts, cached = points.getStorageLevel != StorageLevel.NONE) {
+    Par.persisting(pts) {
       // Strip and per-strip y boundaries from the sorted coordinates (a driver
       // scan over primitive arrays — the O(n) sequential dependence the paper
       // removes with pointer jumping; at single-node scale it is negligible).

@@ -2,7 +2,7 @@ package repro.core
 
 import scala.collection.mutable.ArrayBuffer
 import scala.reflect.ClassTag
-import org.apache.spark.SparkContext
+import org.apache.spark.{NarrowDependency, SparkContext}
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
@@ -130,14 +130,20 @@ object Par {
   }
 
   /** Runs `body`, which reads `rdd` more than once, with `rdd` persisted
-    * for the call so that it is computed once — unless `cached`: the
-    * caller's input is persisted already, and reading it again costs little. */
-  private[core] def persisting[R](rdd: RDD[_], cached: Boolean)(body: => R): R =
-    if (cached) body
+    * for the call so that it is computed once — unless `rdd` is computed
+    * from a persisted RDD already, and reading it again costs little. */
+  private[core] def persisting[R](rdd: RDD[_])(body: => R): R =
+    if (persisted(rdd)) body
     else {
       rdd.persist()
       try body finally rdd.unpersist(blocking = false)
     }
+
+  /** `rdd`, or an ancestor it reaches through narrow dependencies only, is
+    * persisted. */
+  private def persisted(rdd: RDD[_]): Boolean =
+    rdd.getStorageLevel != StorageLevel.NONE ||
+      rdd.dependencies.exists { case dep: NarrowDependency[_] => persisted(dep.rdd); case _ => false }
 
   /** Broadcasts values for the scope of one [[sharing]] call. */
   private[repro] final class Share private[Par] (sc: SparkContext) {
@@ -226,7 +232,7 @@ object DBSCAN {
     import org.apache.spark.sql.types._
     val selected = df.select(col("id"), array(cols.map(col(_).cast(DoubleType)): _*)).rdd
     // Read three times: to number the rows, to collect the ids, and to cluster.
-    val (ids, res) = Par.persisting(selected, cached = df.storageLevel != StorageLevel.NONE) {
+    val (ids, res) = Par.persisting(selected) {
       val rows = selected.zipWithIndex()
       // The caller's id of dense id i, and whether its row has a null coordinate.
       val ids = rows.map { case (r, _) => (r.get(0), r.getSeq[Any](1).contains(null)) }.collect()

@@ -99,13 +99,15 @@ object BBox {
     s
   }
 
-  /** Tight bounding box of the points at positions `pos` of a flat
-    * coordinate array with `d` values per point; no positions give the empty
-    * box (+∞, −∞). */
-  def of(coords: Array[Double], d: Int, pos: Iterable[Int]): BBox = {
+  /** Tight bounding box of the points at positions `pos(from until until)`
+    * of a flat coordinate array with `d` values per point; no positions give
+    * the empty box (+∞, −∞). */
+  def of(coords: Array[Double], d: Int, pos: Array[Int], from: Int, until: Int): BBox = {
     val lo = Array.fill(d)(Double.PositiveInfinity)
     val hi = Array.fill(d)(Double.NegativeInfinity)
-    pos.foreach { p =>
+    var i = from
+    while (i < until) {
+      val p = pos(i)
       var j = 0
       while (j < d) {
         val v = coords(p * d + j)
@@ -113,6 +115,7 @@ object BBox {
         if (v > hi(j)) hi(j) = v
         j += 1
       }
+      i += 1
     }
     BBox(lo, hi)
   }

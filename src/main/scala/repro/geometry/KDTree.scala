@@ -83,7 +83,7 @@ object KDTree {
     def node(k: Int, a: Int, b: Int): Unit = {
       // The tight box; an empty tree's root gets the empty box (+∞, −∞),
       // which is infinitely far from every point.
-      val box = BBox.of(coords, d, order.view.slice(a, b))
+      val box = BBox.of(coords, d, order, a, b)
       System.arraycopy(box.lo, 0, lo, k * d, d)
       System.arraycopy(box.hi, 0, hi, k * d, d)
       if (b - a > LeafSize) {

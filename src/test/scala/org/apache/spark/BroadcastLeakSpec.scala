@@ -120,19 +120,6 @@ class BroadcastLeakSpec extends SparkSpec {
     }
   }
 
-  private val baselines = Map[String, () => DBSCANResult](
-    "PdsDbscan" -> (() => PdsDbscan.run(spark, pts2d, 3.0, 5)),
-    "HpDbscan" -> (() => HpDbscan.run(spark, pts2d, 3.0, 5)))
-
-  // PdsDbscan broadcasts before job 1 and between its three jobs; HpDbscan
-  // broadcasts once, between its two jobs.
-  for ((name, k) <- Seq("PdsDbscan" -> 1, "PdsDbscan" -> 2, "PdsDbscan" -> 3, "HpDbscan" -> 2))
-    test(s"a $name run whose job $k is cancelled leaves no broadcast") {
-      assertNoLeak {
-        intercept[SparkException](cancellingJob(k)(baselines(name)()))
-      }
-    }
-
   /** The number of Spark jobs `body` runs. */
   private def jobsOf(body: => Unit): Int = {
     val sc = spark.sparkContext
@@ -142,6 +129,24 @@ class BroadcastLeakSpec extends SparkSpec {
     sc.listenerBus.waitUntilEmpty()
     sc.statusTracker.getJobIdsForGroup(group).length
   }
+
+  private val baselines = Map[String, () => DBSCANResult](
+    "PdsDbscan" -> (() => PdsDbscan.run(spark, pts2d, 3.0, 5)),
+    "HpDbscan" -> (() => HpDbscan.run(spark, pts2d, 3.0, 5)))
+
+  test("PdsDbscan and HpDbscan each run two Spark jobs") {
+    // The cancellation tests below cover jobs 1 and 2 of each baseline.
+    for ((name, run) <- baselines) assert(jobsOf(run()) === 2, name)
+  }
+
+  // PdsDbscan broadcasts before its first job and between its two; HpDbscan
+  // broadcasts once, between its two.
+  for ((name, k) <- Seq("PdsDbscan" -> 1, "PdsDbscan" -> 2, "HpDbscan" -> 1, "HpDbscan" -> 2))
+    test(s"a $name run whose job $k is cancelled leaves no broadcast") {
+      assertNoLeak {
+        intercept[SparkException](cancellingJob(k)(baselines(name)()))
+      }
+    }
 
   test("an our-exact-bucketing run cancelled at any of its jobs leaves no broadcast") {
     val cfg = DBSCANConfig.named("our-exact-bucketing", 3.0, 5, 0.0).get

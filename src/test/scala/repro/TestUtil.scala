@@ -84,8 +84,9 @@ object TestUtil {
     def bits(a: Array[Double]) = a.map(java.lang.Double.doubleToRawLongBits).toSeq
     for (p <- 0 until idx.n.toInt)
       require(bits(idx.coords.slice(p * d, p * d + d)) == bits(pts(idx.ids(p)).x), s"coordinates at position $p")
+    val positions = Array.range(0, idx.n.toInt)
     for (c <- 0 until idx.numCells) {
-      val bb = BBox.of(idx.coords, d, idx.start(c) until idx.start(c + 1))
+      val bb = BBox.of(idx.coords, d, positions, idx.start(c), idx.start(c + 1))
       require(bits(idx.tightLo(c)) == bits(bb.lo) && bits(idx.tightHi(c)) == bits(bb.hi),
         s"cell $c box [${idx.tightLo(c).mkString(", ")}]..[${idx.tightHi(c).mkString(", ")}]")
     }

@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.{Oracle, SparkSpec, TestUtil}
+import repro.baselines.{HpDbscan, PdsDbscan}
 
 /** ClusterBorder (paper Alg. 4): border membership vs the DuckDB definition
   * — every cluster containing a core point within ε of the border point. */
@@ -35,11 +36,20 @@ class ClusterBorderSpec extends SparkSpec {
     val mid = Pt(20, Array(1.4, 0.0))
     val pts = (left ++ right :+ mid).toArray
     val eps = 0.5; val minPts = 4
-    val res = DBSCAN.run(spark, spark.sparkContext.parallelize(pts.toSeq, 2), 2,
-      DBSCANConfig(eps, minPts))
-    assert(res.numClusters === 2)
-    assert(!res.isCore(20))
-    assert(res.borderClusters(20).length === 2, "mid point should border both clusters")
+    // With 2 slabs, the mid point's core neighbors (x = 0.9 and 1.9) are
+    // owned by different slabs: the cluster of the one in its slab's halo
+    // comes from the other slab's summary, merged on the driver.
+    val runs = Seq[(String, () => DBSCANResult)](
+      "DBSCAN" -> (() => DBSCAN.run(spark, spark.sparkContext.parallelize(pts.toSeq, 2), 2,
+        DBSCANConfig(eps, minPts)))) ++
+      Seq(1, 3).map(p => s"PdsDbscan par=$p" -> (() => PdsDbscan.run(spark, pts, eps, minPts, par = p))) ++
+      Seq(1, 2, 3).map(s => s"HpDbscan slabs=$s" -> (() => HpDbscan.run(spark, pts, eps, minPts, numSlabs0 = s)))
+    for ((name, run) <- runs) withClue(s"$name: ") {
+      val res = run()
+      assert(res.numClusters === 2)
+      assert(!res.isCore(20))
+      assert(res.borderClusters(20).length === 2, "mid point should border both clusters")
+    }
   }
 
   test("noise points get no clusters") {

@@ -1,9 +1,10 @@
 package repro.core
 
-import org.apache.spark.scheduler.{SparkListener, SparkListenerStageSubmitted}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerBlockUpdated, SparkListenerStageSubmitted}
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.{col, concat, lit, udf, when}
 import org.apache.spark.sql.types.StringType
+import org.apache.spark.storage.RDDBlockId
 import repro.{SparkSpec, TestUtil}
 import repro.baselines.NaiveDBSCAN
 
@@ -170,6 +171,35 @@ class DBSCANSpec extends SparkSpec {
       assert(reads.value === 200, s"$cells")
       TestUtil.assertSameClustering(fromDF(out, 200)(_.asInstanceOf[Long].toInt), NaiveDBSCAN.run(pts, 2.5, 8))
     }
+  }
+
+  /** `body`'s result and the ids of the RDDs whose blocks it stored. */
+  private def rddsStored[T](body: => T): (T, Set[Int]) = {
+    val stored = scala.collection.mutable.Set[Int]() // listener-bus thread until drained
+    val out = TestUtil.listening(spark.sparkContext)(_ => new SparkListener {
+      override def onBlockUpdated(e: SparkListenerBlockUpdated): Unit = e.blockUpdatedInfo.blockId match {
+        case RDDBlockId(rdd, _) if e.blockUpdatedInfo.storageLevel.isValid => stored += rdd
+        case _ =>
+      }
+    })(body)
+    (out, stored.toSet)
+  }
+
+  test("a box-cell runDF persists one RDD, and none of its own when the DataFrame is cached") {
+    val pts = TestUtil.blobPts(200, 2, 2, 2.0, 30.0, 0.2, 17L)
+    val want = NaiveDBSCAN.run(pts, 2.5, 8)
+    val df = TestUtil.ptsDF(spark, pts)
+    def run() = DBSCAN.runDF(spark, df, Seq("x0", "x1"), DBSCANConfig(2.5, 8, cellMethod = BoxCells))
+    val (out, stored) = rddsStored(run())
+    assert(stored.size === 1, s"stored blocks of RDDs ${stored.mkString(", ")}")
+    TestUtil.assertSameClustering(fromDF(out, 200)(_.asInstanceOf[Long].toInt), want)
+    df.cache()
+    try {
+      df.count()
+      val (cachedOut, cachedStored) = rddsStored(run())
+      assert(cachedStored.isEmpty, s"stored blocks of RDDs ${cachedStored.mkString(", ")}")
+      TestUtil.assertSameClustering(fromDF(cachedOut, 200)(_.asInstanceOf[Long].toInt), want)
+    } finally df.unpersist()
   }
 
   /** `body`'s result and the task count of every stage it ran. */
