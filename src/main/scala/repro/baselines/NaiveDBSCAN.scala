@@ -47,7 +47,7 @@ object NaiveDBSCAN {
       i += 1
     }
 
-    val border = Array.fill(n)(Array.empty[Int])
+    val border = Array.fill(n)(Array.emptyIntArray)
     i = 0
     while (i < n) {
       if (!isCore(i)) {

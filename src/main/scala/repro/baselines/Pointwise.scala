@@ -20,20 +20,21 @@ private[baselines] object Pointwise {
   /** DBSCAN of points with dense ids [0, n), in two Spark jobs. Each element
     * of `parts` is one partition: a k-d tree over every point its owned
     * points' ε-balls can reach, and the owned points. Each point is owned by
-    * exactly one partition. `parts` is read once per job. */
+    * exactly one partition. `parts` is persisted for both jobs, so each
+    * partition, and so each tree, is computed once. */
   def cluster(share: Par.Share, n: Int, eps: Double, minPts: Int,
-              parts: RDD[(KDTree, Array[Pt])]): DBSCANResult = {
+              parts: RDD[(KDTree, Array[Pt])]): DBSCANResult = Par.persisting(parts) {
     // Pass 1: core flags by pointwise range counting.
     val isCore = new Array[Boolean](n)
-    parts.flatMap { case (tree, owned) =>
+    Par.collect(parts)(_.flatMap { case (tree, owned) =>
       owned.iterator.filter(p => tree.countWithin(p.x, eps) >= minPts).map(_.id.toInt)
-    }.collect().foreach(isCore(_) = true)
+    }.toArray).foreach(isCore(_) = true)
     val bcCore = share(isCore)
 
     // Pass 2: a local union-find over the owned core points and their core
     // neighbors, summarized as (id, local root) for the ids it touched; each
     // owned non-core point keeps one core neighbor per local component.
-    val local = parts.map { case (tree, owned) =>
+    val local = Par.collect(parts)(_.map { case (tree, owned) =>
       val core = bcCore.value
       val uf = new UnionFind(n)
       val touched = mutable.BitSet()
@@ -48,12 +49,12 @@ private[baselines] object Pointwise {
         (p.id.toInt, tree.within(p.x, eps).filter(j => core(j) && roots.add(uf.find(j))))
       }.filter(_._2.nonEmpty).toArray
       (touched.iterator.map(i => (i, uf.find(i))).toArray, kept)
-    }.collect()
+    }.toArray)
 
     val uf = new UnionFind(n)
     for ((roots, _) <- local; (i, r) <- roots) uf.union(i, r)
     val (cluster, numClusters) = uf.labels(isCore(_))
-    val border = Array.fill(n)(Array.empty[Int])
+    val border = Array.fill(n)(Array.emptyIntArray)
     for ((_, kept) <- local; (i, js) <- kept) border(i) = js.map(cluster).distinct.sorted
     DBSCANResult(n, isCore, cluster, border, numClusters,
       RunStats(0, 0, 0, 0, GraphStats(0, 0, 0, 0, 0)))

@@ -52,9 +52,9 @@ object RpDbscan {
       }
 
     // (3) dictionary merge — the shuffle the real system pays for.
-    val merged = dicts.reduceByKey { (a, b) =>
+    val merged = Par.collect(dicts.reduceByKey { (a, b) =>
       CellInfo(a.count + b.count, (a.samples ++ b.samples).take(MaxSamples))
-    }.collect()
+    })(_.toArray)
 
     val m = merged.length
     val keys = merged.map(_._1)
@@ -110,17 +110,17 @@ object RpDbscan {
       val bcCoreCell = share(isCoreCell)
       val bcCellCluster = share(cellCluster)
       val bcNbr = share(cellNbrClusters)
-      val labeled = points.map { p =>
+      val labeled = Par.collect(points)(_.map { p =>
         val c = bcKeyToId.value(CellIndex.gridKey(p.x, side))
         if (bcCoreCell.value(c)) (p.id, true, Array(bcCellCluster.value(c)))
         else (p.id, false, bcNbr.value(c))
-      }.collect()
+      }.toArray)
 
       val n = labeled.length
       CellIndex.requireDense(n)(labeled(_)._1)
       val isCore = new Array[Boolean](n)
       val cluster = Array.fill(n)(-1)
-      val border = Array.fill(n)(Array.empty[Int])
+      val border = Array.fill(n)(Array.emptyIntArray)
       labeled.foreach { case (id, core, cs) =>
         val pid = id.toInt
         if (core) { isCore(pid) = true; cluster(pid) = cs(0) }

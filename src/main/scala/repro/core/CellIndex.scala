@@ -119,7 +119,7 @@ object CellIndex {
       // Strip and per-strip y boundaries from the sorted coordinates (a driver
       // scan over primitive arrays — the O(n) sequential dependence the paper
       // removes with pointer jumping; at single-node scale it is negligible).
-      val xy = pts.flatMap(p => checked(p, 2).x).collect()
+      val xy = Par.collect(pts)(_.flatMap(p => checked(p, 2).x).toArray)
       val n = xy.length / 2
       val xs = Array.tabulate(n)(i => xy(2 * i))
       java.util.Arrays.sort(xs)
@@ -164,11 +164,9 @@ object CellIndex {
     * then finds each cell's neighbors with `neighborLists`. */
   private def build(points: RDD[Pt], eps: Double, d: Int, par: Int)(key: Pt => ArraySeq[Int]): CellIndex = {
     val r = points.getNumPartitions
-    val parts = points
+    val parts = Par.collect(points
       .mapPartitionsWithIndex((map, it) => pieces(map, it, d, r)(p => key(checked(p, d))))
-      .partitionBy(new HashPartitioner(r))
-      .mapPartitions(it => Iterator.single(merge(it.map(_._2).toArray, d)))
-      .collect()
+      .partitionBy(new HashPartitioner(r)))(it => Array(merge(it.map(_._2).toArray, d)))
     def cat[T: ClassTag](f: Cells => Array[T]): Array[T] = Array.concat(ArraySeq.unsafeWrapArray(parts.map(f)): _*)
     val ids = cat(_.ids)
     requireDense(ids.length)(ids(_))

@@ -1,5 +1,7 @@
 package repro.core
 
+import scala.collection.immutable.ArraySeq
+import scala.collection.mutable
 import org.apache.spark.SparkContext
 import org.apache.spark.broadcast.Broadcast
 
@@ -20,8 +22,10 @@ object ClusterBorder {
   def run(sc: SparkContext, bcIdx: Broadcast[CellIndex], bcFlags: Broadcast[Array[Boolean]],
           bcComp: Broadcast[Array[Int]], minPts: Int, par: Int = 0): Array[Array[Int]] = {
     val idx = bcIdx.value
-    val smallCells = (0 until idx.numCells).filter(idx.size(_) < minPts)
-    val assigned = Par.perCell(sc, smallCells, par) { g =>
+    val small = new mutable.ArrayBuilder.ofInt
+    var c = 0
+    while (c < idx.numCells) { if (idx.size(c) < minPts) small += c; c += 1 }
+    val assigned = Par.perCell(sc, ArraySeq.unsafeWrapArray(small.result()), par) { g =>
       val i = bcIdx.value
       val fl = bcFlags.value
       val comp = bcComp.value
@@ -29,7 +33,7 @@ object ClusterBorder {
       val e2 = eps * eps
       val (d, xs) = (i.d, i.coords)
       Iterator.range(i.start(g), i.start(g + 1)).filter(p => !fl(i.ids(p))).flatMap { p =>
-        val comps = scala.collection.mutable.SortedSet[Int]()
+        val comps = mutable.SortedSet[Int]()
         // Everything in the own cell is within ε: any core point in g puts p
         // in g's cluster without a distance check.
         if (comp(g) >= 0) comps += comp(g)
@@ -51,7 +55,7 @@ object ClusterBorder {
         if (comps.nonEmpty) Iterator.single(i.ids(p) +: comps.toArray) else Iterator.empty
       }
     }
-    val out = Array.fill(idx.n.toInt)(Array.empty[Int])
+    val out = Array.fill(idx.n.toInt)(Array.emptyIntArray)
     assigned.foreach(a => out(a(0)) = a.tail)
     out
   }

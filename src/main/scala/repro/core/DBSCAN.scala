@@ -1,8 +1,9 @@
 package repro.core
 
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable.ArrayBuffer
 import scala.reflect.ClassTag
-import org.apache.spark.{NarrowDependency, SparkContext}
+import org.apache.spark.{NarrowDependency, SparkContext, TaskContext}
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
@@ -107,9 +108,10 @@ final case class DBSCANResult(
   def numNoise: Int = (0 until n).count(isNoise)
 }
 
-/** The resources of every Spark stage of a run: how many tasks it runs and
-  * when its broadcasts die. The number of tasks plays the role of the
-  * paper's thread count (speedup experiments sweep it). */
+/** The resources of every Spark stage of a run: the call that submits its
+  * job, how many tasks it runs and when its broadcasts die. The number of
+  * tasks plays the role of the paper's thread count (speedup experiments
+  * sweep it). */
 object Par {
   /** Partitions for `work` items at target parallelism `par`: small targets
     * get exactly `par` partitions (true serial/dual runs); larger ones get
@@ -132,7 +134,7 @@ object Par {
   /** Runs `body`, which reads `rdd` more than once, with `rdd` persisted
     * for the call so that it is computed once — unless `rdd` is computed
     * from a persisted RDD already, and reading it again costs little. */
-  private[core] def persisting[R](rdd: RDD[_])(body: => R): R =
+  private[repro] def persisting[R](rdd: RDD[_])(body: => R): R =
     if (persisted(rdd)) body
     else {
       rdd.persist()
@@ -158,19 +160,41 @@ object Par {
     try body(share) finally share.made.foreach(_.destroy())
   }
 
+  /** The one Spark job primitive: every job in `core/` and `baselines/`,
+    * and the experiments' point collect, runs through it. It runs `f` on
+    * each partition of `rdd` in one job and returns the results concatenated
+    * in partition order; a 0-partition RDD gives an empty array.
+    *
+    * It calls the four-argument `SparkContext.runJob` itself because
+    * `RDD.collect` and the shorter `runJob` overloads wrap the function in
+    * lambdas of their own, and Spark's closure cleaner parses the class
+    * that declares each lambda (`RDD`, `SparkContext`, each about 200 KB of
+    * bytecode), about 5 ms apiece per job. Here it cleans one lambda,
+    * declared in this small object, and still checks that it serializes. */
+  private[repro] def collect[T, U: ClassTag](rdd: RDD[T])(f: Iterator[T] => Array[U]): Array[U] = {
+    val out = new Array[Array[U]](rdd.getNumPartitions)
+    rdd.sparkContext.runJob(rdd, (_: TaskContext, it: Iterator[T]) => f(it), out.indices,
+      (i: Int, a: Array[U]) => out(i) = a)
+    Array.concat(ArraySeq.unsafeWrapArray(out): _*)
+  }
+
   /** The parallel loop over cells of the neighbor search, MarkCore, the
     * ConnCtx build, each ClusterCore bucket and ClusterBorder: runs the
-    * per-cell function on each cell id as one Spark job with
+    * per-cell function on each cell id as one [[collect]] job with
     * `parts(cells.length, par)` partitions and returns what it emits, in
-    * input order. It may emit any number of results per cell. `f` is
-    * evaluated once per task, in the task, so state a caller opens before it
-    * returns the per-cell function is per task and shared by that task's
-    * cells, in input order. No job runs for an empty cell list. */
+    * input order. Like every Spark job in `core/` and `baselines/`, it goes
+    * through `collect`, so Spark cleans one small closure per job instead of
+    * parsing its own `RDD` and `SparkContext` classes twice. It may emit any
+    * number of results per cell. `f` is evaluated once per task, in the
+    * task, so state a caller opens before it returns the per-cell function
+    * is per task and shared by that task's cells, in input order. No job
+    * runs for an empty cell list. */
   private[core] def perCell[T: ClassTag](sc: SparkContext, cells: Seq[Int], par: Int)(
       f: => Int => IterableOnce[T]): Array[T] =
     if (cells.isEmpty) Array.empty[T]
-    else sc.parallelize(cells, parts(cells.length, threads(sc, par)))
-      .mapPartitions { it => val g = f; it.flatMap(g) }.collect()
+    else collect(sc.parallelize(cells, parts(cells.length, threads(sc, par)))) { it =>
+      val g = f; it.flatMap(g).toArray
+    }
 }
 
 /** Top-level parallel DBSCAN driver (paper Alg. 1). */
@@ -235,7 +259,7 @@ object DBSCAN {
     val (ids, res) = Par.persisting(selected) {
       val rows = selected.zipWithIndex()
       // The caller's id of dense id i, and whether its row has a null coordinate.
-      val ids = rows.map { case (r, _) => (r.get(0), r.getSeq[Any](1).contains(null)) }.collect()
+      val ids = Par.collect(rows)(_.map { case (r, _) => (r.get(0), r.getSeq[Any](1).contains(null)) }.toArray)
       val seen = new java.util.HashSet[Any]()
       ids.foreach { case (id, nullCoord) =>
         require(id != null, "null id: runDF needs an id in every row")

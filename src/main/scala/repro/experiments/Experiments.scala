@@ -19,8 +19,8 @@ object Experiments {
       gen: (SparkSession, Long) => RDD[Pt]) {
     def make(spark: SparkSession): Workload = {
       val rdd = gen(spark, n).persist(StorageLevel.MEMORY_ONLY)
-      rdd.count() // materialize before timing anything
-      val pts = rdd.collect().sortBy(_.id)
+      // Materializes the persisted RDD before anything is timed.
+      val pts = Par.collect(rdd)(_.toArray).sortBy(_.id)
       Workload(this, rdd, pts)
     }
   }

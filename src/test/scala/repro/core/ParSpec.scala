@@ -1,11 +1,24 @@
 package repro.core
 
+import java.nio.file.{Files, Path, Paths}
+import scala.jdk.CollectionConverters._
 import org.apache.spark.TaskContext
-import repro.SparkSpec
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import repro.{SparkSpec, TestUtil}
 
-/** Partition-count policy (serial runs must really be serial) and the
-  * per-cell Spark pass built on it. */
+/** Partition-count policy (serial runs must really be serial), the one job
+  * primitive, and the per-cell Spark pass built on them. */
 class ParSpec extends SparkSpec {
+
+  /** `body`'s result and the number of Spark jobs it ran. */
+  private def jobsOf[T](body: => T): (T, Int) = {
+    val jobs = new java.util.concurrent.atomic.AtomicInteger
+    val out = TestUtil.listening(spark.sparkContext)(group => new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        if (TestUtil.jobGroup(e.properties) == group) jobs.incrementAndGet()
+    })(body)
+    (out, jobs.get)
+  }
 
   test("par=1 yields exactly one partition regardless of work") {
     assert(Par.parts(1000000, 1) === 1)
@@ -34,9 +47,10 @@ class ParSpec extends SparkSpec {
   test("perCell runs Par.parts(cells, par) partitions") {
     val sc = spark.sparkContext
     for ((n, par) <- Seq((500, 1), (500, 2), (500, 3), (7, 5), (500, 0))) {
-      val parts = Par.perCell(sc, 0 until n, par)(_ => Some(TaskContext.getPartitionId())).distinct
+      val (ids, jobs) = jobsOf(Par.perCell(sc, 0 until n, par)(_ => Some(TaskContext.getPartitionId())))
       val p = if (par > 0) par else sc.defaultParallelism
-      assert(parts.length === Par.parts(n, p), s"n=$n par=$par")
+      assert(ids.distinct.length === Par.parts(n, p), s"n=$n par=$par")
+      assert(jobs === 1, s"n=$n par=$par: jobs")
     }
   }
 
@@ -70,5 +84,43 @@ class ParSpec extends SparkSpec {
 
   test("perCell over no cells returns an empty array") {
     assert(Par.perCell(spark.sparkContext, Seq.empty[Int], par = 4)(c => Some(c)).isEmpty)
+  }
+
+  test("collect returns each partition's results in partition order, in one job") {
+    // Partition i of 6 holds 10i until 10i + 10; odd partitions keep nothing
+    // and even ones their first i + 1 values. Partition 0 finishes last.
+    val rdd = spark.sparkContext.parallelize(0 until 60, 6).mapPartitionsWithIndex { (i, it) =>
+      if (i == 0) Thread.sleep(100)
+      if (i % 2 == 1) Iterator.empty else it.take(i + 1)
+    }
+    val (got, jobs) = jobsOf(Par.collect(rdd)(it => ((-1 - TaskContext.getPartitionId()) +: it.toSeq).toArray))
+    assert(got.toSeq === Seq(-1, 0, -2, -3, 20, 21, 22, -4, -5, 40, 41, 42, 43, 44, -6))
+    assert(jobs === 1)
+  }
+
+  test("collect over no partitions, or only empty ones, returns an empty array") {
+    val sc = spark.sparkContext
+    assert(sc.emptyRDD[Int].getNumPartitions === 0)
+    assert(Par.collect(sc.emptyRDD[Int])(_.toArray).isEmpty)
+    val (got, jobs) = jobsOf(Par.collect(sc.parallelize(Seq.empty[Int], 3))(_.toArray))
+    assert(got.isEmpty)
+    assert(jobs === 1)
+  }
+
+  test("no code under src/main calls .collect() or runJob outside Par.collect") {
+    // RDD.collect() and the short runJob overloads make Spark's closure
+    // cleaner parse its own RDD and SparkContext classes on every job.
+    val main = Paths.get("src", "main", "scala")
+    assert(Files.isDirectory(main), s"no $main under ${sys.props("user.dir")}")
+    val files = Files.walk(main).iterator.asScala.filter(_.toString.endsWith(".scala")).toSeq
+    def lines(f: Path) = Files.readAllLines(f).asScala.zipWithIndex.collect {
+      case (l, i) if !Seq("*", "//", "/*").exists(l.trim.startsWith) =>
+        (s"$f:${i + 1}", l.split("//")(0))
+    }
+    val code = files.flatMap(lines)
+    val collects = code.filter(_._2.contains(".collect()")).map(_._1)
+    assert(collects.isEmpty, s": .collect() outside Par.collect at ${collects.mkString(", ")}")
+    val runJobs = code.filter(_._2.contains("runJob(")).map(_._1)
+    assert(runJobs.length === 1 && runJobs.head.contains("DBSCAN.scala"), s": runJob at ${runJobs.mkString(", ")}")
   }
 }
