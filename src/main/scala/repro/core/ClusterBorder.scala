@@ -25,26 +25,29 @@ object ClusterBorder {
     val small = new mutable.ArrayBuilder.ofInt
     var c = 0
     while (c < idx.numCells) { if (idx.size(c) < minPts) small += c; c += 1 }
-    val assigned = Par.perCell(sc, ArraySeq.unsafeWrapArray(small.result()), par) { g =>
+    val assigned = Par.perCell(sc, ArraySeq.unsafeWrapArray(small.result()), par) {
+      // The offsets are lazy vals: read them once per task, not per test.
       val i = bcIdx.value
+      val (start, nbrStart, nbrs, ids) = (i.start, i.nbrStart, i.nbrs, i.ids)
       val fl = bcFlags.value
       val comp = bcComp.value
       val eps = i.eps
       val e2 = eps * eps
       val (d, xs) = (i.d, i.coords)
-      Iterator.range(i.start(g), i.start(g + 1)).filter(p => !fl(i.ids(p))).flatMap { p =>
+      g => Iterator.range(start(g), start(g + 1)).filter(p => !fl(ids(p))).flatMap { p =>
         val comps = mutable.SortedSet[Int]()
         // Everything in the own cell is within ε: any core point in g puts p
         // in g's cluster without a distance check.
         if (comp(g) >= 0) comps += comp(g)
-        var k = i.nbrStart(g)
-        while (k < i.nbrStart(g + 1)) {
-          val h = i.nbrs(k)
+        var k = nbrStart(g)
+        while (k < nbrStart(g + 1)) {
+          val h = nbrs(k)
           if (comp(h) >= 0 && !comps.contains(comp(h)) && i.minSqDistToCell(h, xs, p * d) <= e2) {
-            var j = i.start(h)
+            var j = start(h)
+            val end = start(h + 1)
             var hit = false
-            while (!hit && j < i.start(h + 1)) {
-              if (fl(i.ids(j)) && Dist.leq(xs, j * d, xs, p * d, d, eps)) hit = true
+            while (!hit && j < end) {
+              if (fl(ids(j)) && Dist.leq(xs, j * d, xs, p * d, d, eps)) hit = true
               j += 1
             }
             if (hit) comps += comp(h)
@@ -52,7 +55,7 @@ object ClusterBorder {
           k += 1
         }
         // One array per border point: its id, then its cluster ids.
-        if (comps.nonEmpty) Iterator.single(i.ids(p) +: comps.toArray) else Iterator.empty
+        if (comps.nonEmpty) Iterator.single(ids(p) +: comps.toArray) else Iterator.empty
       }
     }
     val out = Array.fill(idx.n.toInt)(Array.emptyIntArray)

@@ -71,7 +71,7 @@ object ClusterCore {
           // connected. Tasks evaluate in parallel.
           val owned = Par.sharing(sc) { share =>
             val bcSnap = share(uf.roots())
-            Par.perCell(sc, ArraySeq.unsafeWrapArray(batch), par) {
+            Par.perCell(sc, ArraySeq.unsafeWrapArray(batch), par, Par.clusterCoreParts) {
               val (i, c, snap) = (bcIdx.value, bcCtx.value, bcSnap.value)
               val local = new UnionFind(m)
               g => {

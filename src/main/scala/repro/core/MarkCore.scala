@@ -11,7 +11,10 @@ import repro.geometry.QuadTree
   * O(1) neighboring cells, either by scanning the neighbor's points
   * (`our-exact` / `our-approx`) or through a per-cell quadtree
   * (`our-exact-qt` / `our-approx-qt`), with an early exit once the count
-  * reaches minPts. The per-cell loop is one [[Par.perCell]] pass.
+  * reaches minPts. A neighbor cell whose box lies wholly within ε of the
+  * point counts whole, and a cell that holds fewer than minPts points with
+  * its neighbors together is skipped. The per-cell loop is one
+  * [[Par.perCell]] pass.
   */
 object MarkCore {
 
@@ -28,25 +31,38 @@ object MarkCore {
   /** Returns the core flag for every point id in [0, n). */
   def run(sc: SparkContext, bcIdx: Broadcast[CellIndex], minPts: Int,
           bcQt: Option[Broadcast[Array[QuadTree]]], par: Int = 0): Array[Boolean] = {
-    val coreIds = Par.perCell(sc, 0 until bcIdx.value.numCells, par) { c =>
+    val coreIds = Par.perCell(sc, 0 until bcIdx.value.numCells, par) {
+      // The offsets are lazy vals: read them once per task, not per test.
       val idx = bcIdx.value
-      val (s, e) = (idx.start(c), idx.start(c + 1))
-      if (e - s >= minPts) Iterator.range(s, e).map(idx.ids(_))
-      else {
-        val eps = idx.eps
-        val e2 = eps * eps
-        val (d, xs) = (idx.d, idx.coords)
-        Iterator.range(s, e).filter { p =>
+      val (start, nbrStart, nbrs, ids) = (idx.start, idx.nbrStart, idx.nbrs, idx.ids)
+      val size = idx.cellSizes
+      val eps = idx.eps
+      val e2 = eps * eps
+      val (d, xs, lo, hi) = (idx.d, idx.coords, idx.cellLo, idx.cellHi)
+      val qts = bcQt.map(_.value)
+      c => {
+        val (s, e) = (start(c), start(c + 1))
+        // Points in c and its neighbors: no point of c counts more.
+        var reach = e - s
+        var n = nbrStart(c)
+        while (reach < minPts && n < nbrStart(c + 1)) { reach += size(nbrs(n)); n += 1 }
+        if (e - s >= minPts) Iterator.range(s, e).map(ids(_))
+        else if (reach < minPts) Iterator.empty
+        else Iterator.range(s, e).filter { p =>
           var count = e - s // everything in the own cell is within ε
-          var k = idx.nbrStart(c)
-          while (count < minPts && k < idx.nbrStart(c + 1)) {
-            val h = idx.nbrs(k)
-            if (idx.minSqDistToCell(h, xs, p * d) <= e2) {
-              bcQt match {
-                case Some(qts) => count += qts.value(h).count(xs, p * d, eps, minPts - count)
+          var k = nbrStart(c)
+          while (count < minPts && k < nbrStart(c + 1)) {
+            val h = nbrs(k)
+            if (BBox.minSqDistTo(lo, hi, h * d, d, xs, p * d) <= e2) {
+              // A box wholly within ε of p counts whole; float subtraction
+              // and squaring are monotone, so this agrees with `Dist.leq`.
+              if (BBox.maxSqDistTo(lo, hi, h * d, d, xs, p * d) <= e2) count += size(h)
+              else qts match {
+                case Some(qt) => count += qt(h).count(xs, p * d, eps, minPts - count)
                 case None =>
-                  var j = idx.start(h)
-                  while (count < minPts && j < idx.start(h + 1)) {
+                  var j = start(h)
+                  val end = start(h + 1)
+                  while (count < minPts && j < end) {
                     if (Dist.leq(xs, j * d, xs, p * d, d, eps)) count += 1
                     j += 1
                   }
@@ -55,7 +71,7 @@ object MarkCore {
             k += 1
           }
           count >= minPts
-        }.map(idx.ids(_))
+        }.map(ids(_))
       }
     }
     val flags = new Array[Boolean](bcIdx.value.n.toInt)

@@ -225,6 +225,21 @@ class DBSCANSpec extends SparkSpec {
     }
   }
 
+  test("parallelism bounds every stage at p = 3 and 4 when ClusterCore runs on the driver") {
+    // The Delaunay cell graph has no ClusterCore job, so every stage runs
+    // at most p tasks.
+    val pts = TestUtil.blobPts(600, 2, 4, 2.0, 60.0, 0.2, 21L)
+    val want = NaiveDBSCAN.run(pts, 3.0, 8)
+    for (cells <- Seq(GridCells, BoxCells); core <- Seq(ScanCore, QtCore); p <- Seq(3, 4)) {
+      val cfg = DBSCANConfig(3.0, 8, cells, core, DelaunayGraph, parallelism = p)
+      val input = spark.sparkContext.parallelize(pts.toSeq, 8)
+      val (res, tasks) = stageTasks(DBSCAN.run(spark, input, 2, cfg))
+      TestUtil.assertSameClustering(res, want)
+      assert(tasks.nonEmpty && tasks.forall(_ <= p),
+        s"$cells $core p=$p: stage task counts ${tasks.mkString(", ")}")
+    }
+  }
+
   test("every registered variant name round-trips through named and name") {
     for ((n, _) <- DBSCANConfig.variants) {
       val cfg = DBSCANConfig.named(n, 2.5, 8, 0.1).get

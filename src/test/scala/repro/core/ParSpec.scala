@@ -30,10 +30,18 @@ class ParSpec extends SparkSpec {
     assert(Par.parts(1, 2) === 1)
   }
 
-  test("larger parallelism oversubscribes 4x but never exceeds work") {
-    assert(Par.parts(1000000, 16) === 64)
+  test("p threads give exactly p tasks, never more than the work") {
+    assert(Par.parts(1000000, 16) === 16)
     assert(Par.parts(10, 16) === 10)
     assert(Par.parts(0, 16) === 1)
+  }
+
+  test("ClusterCore's split gives p tasks up to 2 threads and 4 per thread above, capped by the work") {
+    assert(Par.clusterCoreParts(1000000, 1) === 1)
+    assert(Par.clusterCoreParts(1000000, 2) === 2)
+    assert(Par.clusterCoreParts(1000000, 3) === 12)
+    assert(Par.clusterCoreParts(5, 3) === 5)
+    assert(Par.clusterCoreParts(0, 3) === 1)
   }
 
   test("perCell returns every emitted result in input order") {
@@ -79,7 +87,8 @@ class ParSpec extends SparkSpec {
       assert(merged.getNumPartitions === Par.parts(8, Par.threads(sc, par)), s"par=$par")
       assert(merged.collect().toSeq === (0 until 100), s"par=$par")
     }
-    assert(Par.coalesce(rdd, 3) eq rdd)
+    assert(Par.coalesce(rdd, 8) eq rdd)
+    assert(Par.coalesce(rdd, 16) eq rdd)
   }
 
   test("perCell over no cells returns an empty array") {
@@ -105,6 +114,29 @@ class ParSpec extends SparkSpec {
     val (got, jobs) = jobsOf(Par.collect(sc.parallelize(Seq.empty[Int], 3))(_.toArray))
     assert(got.isEmpty)
     assert(jobs === 1)
+  }
+
+  test("no code under src/main/scala/repro/core sizes an RDD outside object Par") {
+    // Par decides every stage's task count; a parallelize, coalesce or
+    // repartition elsewhere in core/ would bypass its policy.
+    val core = Paths.get("src", "main", "scala", "repro", "core")
+    assert(Files.isDirectory(core), s"no $core under ${sys.props("user.dir")}")
+    val files = Files.walk(core).iterator.asScala.filter(_.toString.endsWith(".scala")).toSeq
+    def outsidePar(f: Path) = {
+      val ls = Files.readAllLines(f).asScala.toVector
+      // `object Par` runs from its header to the next closing brace in column 0.
+      val from = ls.indexWhere(_.startsWith("object Par "))
+      val until = if (from < 0) -1 else ls.indexWhere(_ == "}", from)
+      ls.zipWithIndex.collect {
+        case (l, i) if (i < from || i > until) && !Seq("*", "//", "/*").exists(l.trim.startsWith) =>
+          (s"$f:${i + 1}", l.split("//")(0))
+      }
+    }
+    // `Par.coalesce(` is the policy's own entry point.
+    val call = """parallelize\(|(?<!\bPar)\.coalesce\(|\.repartition\(""".r
+    val sized = files.flatMap(outsidePar).filter { case (_, l) => call.findFirstIn(l).isDefined }
+    assert(sized.isEmpty, s": RDD sized outside Par at ${sized.map(_._1).mkString(", ")}")
+    assert(files.exists(f => Files.readAllLines(f).asScala.exists(_.startsWith("object Par "))), ": no object Par")
   }
 
   test("no code under src/main calls .collect() or runJob outside Par.collect") {
