@@ -1,6 +1,5 @@
 package repro.core
 
-import scala.collection.immutable.ArraySeq
 import org.apache.spark.SparkContext
 import org.apache.spark.broadcast.Broadcast
 import repro.geometry.{Delaunay, UnionFind}
@@ -20,16 +19,23 @@ final case class GraphStats(
   * points come within ε — and returns each cell's connected component as a
   * dense cluster id.
   *
-  * Connectivity *queries* are evaluated in parallel in Spark, one
-  * [[Par.perCell]] pass per batch; the union-find over the (small) cell graph
-  * lives on the driver. A pair is pruned before evaluation when it is
-  * already in one component: the component as of the start of the batch,
-  * joined by every link found earlier in its task (each task keeps one
-  * union-find, the nearest analogue of the paper's shared one). With
-  * `bucketing` (paper §4.4), cells are sorted by core-point count
-  * (descending) and processed in batches: big, highly-connected cells union
-  * early and prune queries in every later task — without it, all pairs run
-  * in one batch and a task sees only its own links.
+  * Connectivity *queries* are evaluated in parallel in Spark; the
+  * union-find over the (small) cell graph lives on the driver. Core cells
+  * are sorted by core-point count, descending (the paper's SortBySize), and
+  * task t of T = [[Par.parts]](core cells, threads) keeps the t-th of T
+  * equal slices of that order for the whole run. The run is R rounds, each
+  * one [[Par.perCell]] job over the task ids: in round j each task walks
+  * the j-th of R equal parts of its slice, in order (the slices and their
+  * parts are the T·R equal pieces of the order). A pair is pruned
+  * before evaluation when it is already in one component: the component as
+  * of the start of the round, joined by every link found earlier in the
+  * round by its task (each task keeps one union-find per round, the nearest
+  * analogue of the paper's shared one). The driver unions each round's
+  * links before the next. With `bucketing` (paper §4.4) R = `numBuckets`,
+  * else R = 1. An owner sits in the same task, at the same position, in
+  * both runs, and with bucketing it also sees every link any task found in
+  * an earlier round, so bucketing never runs more queries than the plain
+  * run.
   */
 object ClusterCore {
 
@@ -54,27 +60,30 @@ object ClusterCore {
         val order = new Array[Int](keys.length)
         c = 0
         while (c < keys.length) { order(c) = keys(c).toInt; c += 1 } // the low half: the id
-        val batchSize =
-          if (bucketing) math.max(1, (order.length + numBuckets - 1) / numBuckets)
-          else math.max(1, order.length)
+        // `order` cut into T·R equal pieces: task t keeps pieces t·R until
+        // (t + 1)·R, its slice, for the whole run, and runs piece t·R + j
+        // in round j; piece q starts at position at(q).
+        val tasks = Par.parts(order.length, Par.threads(sc, par))
+        val rounds = if (order.isEmpty) 0 else if (bucketing) numBuckets else 1
+        def at(q: Int) = (order.length.toLong * q / (tasks * rounds)).toInt
         val uf = new UnionFind(m)
         var candidate = 0L; var run = 0L; var edges = 0L
-        for (batch <- order.grouped(batchSize)) {
+        for (j <- 0 until rounds) {
           // Each unordered pair is owned by its later cell in `order`: owner
           // g takes as candidates the neighbors h before it (more core points,
           // or as many and a smaller id), so a pair is considered exactly
-          // once, in its owner's batch. Each task keeps one union-find over
-          // the snapshot's component ids, and its owners walk their neighbor
-          // lists in turn (paper Alg. 3 line 5 is a plain `for`): a query is
-          // pruned when the two components — as of the start of the batch,
-          // joined by every link found earlier in its task — are already
-          // connected. Tasks evaluate in parallel.
+          // once, in its owner's round. Each task keeps one union-find per
+          // round over the snapshot's component ids, and the owners of its
+          // piece walk their neighbor lists in turn (paper Alg. 3 line 5 is
+          // a plain `for`): a query is pruned when the two components — as
+          // of the start of the round, joined by every link the task found
+          // earlier in the round — are already connected. Tasks evaluate in
+          // parallel.
           val owned = Par.sharing(sc) { share =>
             val bcSnap = share(uf.roots())
-            Par.perCell(sc, ArraySeq.unsafeWrapArray(batch), par, Par.clusterCoreParts) {
-              val (i, c, snap) = (bcIdx.value, bcCtx.value, bcSnap.value)
-              val local = new UnionFind(m)
-              g => {
+            Par.perCell(sc, 0 until tasks, par) {
+              val (i, c, snap, local) = (bcIdx.value, bcCtx.value, bcSnap.value, new UnionFind(m))
+              t => order.slice(at(t * rounds + j), at(t * rounds + j + 1)).iterator.map { g =>
                 val hits = new scala.collection.mutable.ArrayBuilder.ofInt
                 var candidates = 0; var queries = 0
                 var k = i.nbrStart(g)
@@ -92,7 +101,7 @@ object ClusterCore {
                   }
                   k += 1
                 }
-                Some((g, hits.result(), candidates, queries))
+                (g, hits.result(), candidates, queries)
               }
             }
           }

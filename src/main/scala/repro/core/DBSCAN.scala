@@ -114,21 +114,12 @@ final case class DBSCANResult(
   * sweep it). */
 object Par {
   /** Partitions for `work` items at target parallelism `par`: one task per
-    * thread, never more than the work and at least one. Every stage `Par`
-    * sizes runs at most `par` tasks, except ClusterCore's bucket passes
-    * ([[clusterCoreParts]]). More tasks than threads would balance skewed
-    * loads, as the paper's work stealing does, but at this scale each
-    * extra task costs more than it balances. */
+    * thread, never more than the work and at least one. It is the one
+    * task-count policy: every stage `Par` sizes runs at most `par` tasks,
+    * ClusterCore's rounds included. More tasks than threads would balance
+    * skewed loads, as the paper's work stealing does, but at this scale
+    * each extra task costs more than it balances. */
   def parts(work: Int, par: Int): Int = math.max(1, math.min(work, par))
-
-  /** Partitions of one ClusterCore bucket pass: `par` up to 2 threads, 4
-    * per thread above, never more than the work. Each ClusterCore task
-    * prunes its queries against the links it found itself, so the split
-    * decides which queries run: with one task per thread, bucketing made
-    * more queries than the plain run on `ClusterCoreSpec`'s skewed input
-    * (261 against 241), the opposite of the paper's §4.4 result. */
-  def clusterCoreParts(work: Int, par: Int): Int =
-    parts(work, if (par <= 2) par else par * 4)
 
   /** Target parallelism: `par`, or Spark's default when `par <= 0`. */
   private[repro] def threads(sc: SparkContext, par: Int): Int =
@@ -190,21 +181,22 @@ object Par {
   }
 
   /** The parallel loop over cells of the neighbor search, MarkCore, the
-    * ConnCtx build, each ClusterCore bucket and ClusterBorder: runs the
-    * per-cell function on each cell id as one [[collect]] job with
-    * `split(cells.length, par)` partitions ([[parts]] unless the caller
-    * names another split) and returns what it emits, in input order. Like
-    * every Spark job in `core/` and `baselines/`, it goes through
-    * `collect`, so Spark cleans one small closure per job instead of
-    * parsing its own `RDD` and `SparkContext` classes twice. It may emit any
-    * number of results per cell. `f` is evaluated once per task, in the
-    * task, so state a caller opens before it returns the per-cell function
-    * is per task and shared by that task's cells, in input order. No job
-    * runs for an empty cell list. */
-  private[core] def perCell[T: ClassTag](sc: SparkContext, cells: Seq[Int], par: Int,
-      split: (Int, Int) => Int = parts)(f: => Int => IterableOnce[T]): Array[T] =
+    * ConnCtx build, ClusterCore and ClusterBorder: runs the per-cell
+    * function on each element of `cells` as one [[collect]] job with
+    * [[parts]]`(cells.length, par)` partitions and returns what it emits, in
+    * input order. The elements are cell ids, except in ClusterCore, whose
+    * elements are its task slices (one job per round over the ids
+    * `0 until T`, one slice per task). Like every Spark job in `core/` and
+    * `baselines/`, it goes through `collect`, so Spark cleans one small
+    * closure per job instead of parsing its own `RDD` and `SparkContext`
+    * classes twice. It may emit any number of results per cell. `f` is
+    * evaluated once per task, in the task, so state a caller opens before
+    * it returns the per-cell function is per task and shared by that task's
+    * cells, in input order. No job runs for an empty cell list. */
+  private[core] def perCell[T: ClassTag](sc: SparkContext, cells: Seq[Int], par: Int)(
+      f: => Int => IterableOnce[T]): Array[T] =
     if (cells.isEmpty) Array.empty[T]
-    else collect(sc.parallelize(cells, split(cells.length, threads(sc, par)))) { it =>
+    else collect(sc.parallelize(cells, parts(cells.length, threads(sc, par)))) { it =>
       val g = f; it.flatMap(g).toArray
     }
 }
@@ -249,8 +241,12 @@ object DBSCAN {
       // Per-point cluster ids for core points: a core point's cell is a core cell.
       val n = idx.n.toInt
       val coreCluster = Array.fill(n)(-1)
-      for (c <- 0 until idx.numCells; p <- idx.start(c) until idx.start(c + 1) if flags(idx.ids(p)))
-        coreCluster(idx.ids(p)) = cellCluster(c)
+      val (start, ids) = (idx.start, idx.ids)
+      var c = 0; var p = 0
+      while (c < idx.numCells) { // cells are contiguous position ranges from 0
+        while (p < start(c + 1)) { if (flags(ids(p))) coreCluster(ids(p)) = cellCluster(c); p += 1 }
+        c += 1
+      }
       DBSCANResult(n, flags, coreCluster, border, cellCluster.maxOption.fold(0)(_ + 1),
         RunStats(gridMs, markMs, coreMs, borderMs, gStats))
     }

@@ -5,9 +5,9 @@ package repro.geometry
   * The paper uses a lock-free concurrent union-find shared by all threads;
   * here each structure is sequential. ClusterCore (see
   * [[repro.core.ClusterCore]]) keeps one over the cell graph on the driver
-  * and one more in each Spark task of a batch, over the batch snapshot's
+  * and one more per Spark task per round, over the round snapshot's
   * component ids, so that a link found in a task prunes that task's later
-  * queries.
+  * queries of the round.
   * Only O(#cells) metadata passes through them; the expensive connectivity
   * *queries* run distributed.
   */

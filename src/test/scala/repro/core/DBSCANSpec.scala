@@ -240,6 +240,21 @@ class DBSCANSpec extends SparkSpec {
     }
   }
 
+  test("parallelism bounds every stage at p = 3 and 4 when ClusterCore runs in Spark") {
+    // ClusterCore's rounds run one task per slice, at most p slices.
+    val pts = TestUtil.blobPts(600, 2, 4, 2.0, 60.0, 0.2, 21L)
+    val want = NaiveDBSCAN.run(pts, 3.0, 8)
+    for (cells <- Seq(GridCells, BoxCells); core <- Seq(ScanCore, QtCore);
+         bucketing <- Seq(false, true); p <- Seq(3, 4)) {
+      val cfg = DBSCANConfig(3.0, 8, cells, core, BcpGraph, bucketing, parallelism = p)
+      val input = spark.sparkContext.parallelize(pts.toSeq, 8)
+      val (res, tasks) = stageTasks(DBSCAN.run(spark, input, 2, cfg))
+      TestUtil.assertSameClustering(res, want)
+      assert(tasks.nonEmpty && tasks.forall(_ <= Par.parts(8, p)),
+        s"$cells $core bucketing=$bucketing p=$p: stage task counts ${tasks.mkString(", ")}")
+    }
+  }
+
   test("every registered variant name round-trips through named and name") {
     for ((n, _) <- DBSCANConfig.variants) {
       val cfg = DBSCANConfig.named(n, 2.5, 8, 0.1).get

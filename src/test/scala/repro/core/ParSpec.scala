@@ -36,14 +36,6 @@ class ParSpec extends SparkSpec {
     assert(Par.parts(0, 16) === 1)
   }
 
-  test("ClusterCore's split gives p tasks up to 2 threads and 4 per thread above, capped by the work") {
-    assert(Par.clusterCoreParts(1000000, 1) === 1)
-    assert(Par.clusterCoreParts(1000000, 2) === 2)
-    assert(Par.clusterCoreParts(1000000, 3) === 12)
-    assert(Par.clusterCoreParts(5, 3) === 5)
-    assert(Par.clusterCoreParts(0, 3) === 1)
-  }
-
   test("perCell returns every emitted result in input order") {
     val cells = new scala.util.Random(7).shuffle((0 until 500).toVector)
     val got = Par.perCell(spark.sparkContext, cells, par = 3)(c => Iterator(c, -c - 1))
