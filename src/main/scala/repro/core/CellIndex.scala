@@ -27,12 +27,16 @@ import repro.geometry.KDTree
   * The index is built distributed and then broadcast, emulating shared
   * memory on the single-node cluster: per-cell tasks get random access to
   * any neighboring cell's points. The grouping is the paper's semisort as
-  * one Spark shuffle: map tasks hash cell keys to r reducers and send each
-  * reducer one flat block, reducers group their blocks into cells and bound
-  * the cells' boxes, and the driver concatenates the r results (see
-  * `CellIndex.build`). The index holds only scalars and primitive arrays, so
-  * Java serialization is already a compact broadcast format. The per-cell
-  * accessors slice on every call; hot loops read the flat arrays.
+  * one Spark shuffle on primitive keys: map tasks number their cell keys (d
+  * ints each) in an open-addressing [[KeyTable]], hash them to r reducers
+  * and send each reducer one flat block; reducers group their blocks into
+  * cells the same way and bound the cells' boxes; the driver concatenates
+  * the r results (see `CellIndex.build`), and one k-d tree over the cell
+  * boxes finds the neighbor lists (see `neighborLists`). Cells come in the
+  * order of their reducer, and within a reducer in the order first seen.
+  * The index holds only scalars and primitive arrays, so Java serialization
+  * is already a compact broadcast format. The per-cell accessors slice on
+  * every call; hot loops read the flat arrays.
   */
 final class CellIndex(
     val eps: Double,
@@ -87,22 +91,27 @@ object CellIndex {
     * cells from the origin, where the key would not fit an Int. */
   def gridKey(x: Array[Double], side: Double): ArraySeq[Int] = {
     val k = new Array[Int](x.length)
+    gridKey(x, side, k, 0)
+    ArraySeq.unsafeWrapArray(k)
+  }
+
+  /** [[gridKey]], written to the `x.length` ints at offset `off` of `out`. */
+  private def gridKey(x: Array[Double], side: Double, out: Array[Int], off: Int): Unit = {
     var j = 0
     while (j < x.length) {
       val q = x(j) / side
       if (!(math.abs(q) < 2147483648.0)) throw new IllegalArgumentException(
         s"coordinate ${x(j)} is out of the grid's Int range at cell side $side")
-      k(j) = math.floor(q).toInt
+      out(off + j) = math.floor(q).toInt
       j += 1
     }
-    ArraySeq.unsafeWrapArray(k)
   }
 
   /** Grid-based construction (paper §4.1, used for all d). Every stage runs
     * at most `Par.parts(·, par)` tasks, like the later phases. */
   def grid(points: RDD[Pt], eps: Double, d: Int, par: Int = 0): CellIndex = {
     val side = sideFor(eps, d)
-    build(Par.coalesce(points, par), eps, d, par)(p => gridKey(p.x, side))
+    build(Par.coalesce(points, par), eps, d, par)((p, k, off) => gridKey(p.x, side, k, off))
   }
 
   /** Box-based construction (paper §4.2, 2D only): x-strips of width ≤ ε/√2,
@@ -129,10 +138,10 @@ object CellIndex {
       val yBounds = ys.map { b => val a = b.result(); java.util.Arrays.sort(a); boundaries(a, side) }
       Par.sharing(pts.sparkContext) { share =>
         val bc = share((strips, yBounds))
-        build(pts, eps, 2, par) { p =>
+        build(pts, eps, 2, par) { (p, k, off) =>
           val (st, yb) = bc.value
-          val s = lastLeq(st, p.x(0))
-          ArraySeq(s, lastLeq(yb(s), p.x(1)))
+          k(off) = lastLeq(st, p.x(0))
+          k(off + 1) = lastLeq(yb(k(off)), p.x(1))
         }
       }
     }
@@ -150,30 +159,36 @@ object CellIndex {
     p
   }
 
-  /** Groups points into cells by `key` and lays the index out; shared by
-    * both constructions.
+  /** Groups points into cells by `key`, which writes a point's d ints at an
+    * offset of an array, and lays the index out; shared by both
+    * constructions.
     *
     * The grouping is the paper's semisort (§4.1; Gu et al., SPAA 2015): keys
     * hash to r buckets, r being `points`' partition count, and each bucket
-    * is grouped in a task of its own. Each map task groups its points by key
-    * and sends reducer b one flat [[Piece]] with its cells whose key hashes
-    * to b (`floorMod(key.hashCode, r)`), so it writes at most r shuffle
-    * records however many cells it holds. Each reducer merges its pieces by
-    * key in map order, so the order of cells and points is deterministic,
-    * and bounds its cells' boxes. The driver concatenates the r results,
-    * then finds each cell's neighbors with `neighborLists`. */
-  private def build(points: RDD[Pt], eps: Double, d: Int, par: Int)(key: Pt => ArraySeq[Int]): CellIndex = {
+    * is grouped in a task of its own. Each map task numbers its keys with a
+    * [[KeyTable]] and sends reducer b one flat [[Piece]] with its cells whose
+    * key hashes to b (`floorMod(KeyTable.hash(key), r)`), so it writes at
+    * most r shuffle records however many cells it holds. Each reducer
+    * numbers its pieces' keys the same way, in map order, so the order of
+    * cells (first seen first) and of points is deterministic, and bounds its
+    * cells' boxes. Both sides place the points by one counting [[scatter]].
+    * The driver concatenates the r results, then finds each cell's neighbors
+    * with `neighborLists`. */
+  private def build(points: RDD[Pt], eps: Double, d: Int, par: Int)(
+      key: (Pt, Array[Int], Int) => Unit): CellIndex = {
     val r = points.getNumPartitions
     val parts = Par.collect(points
-      .mapPartitionsWithIndex((map, it) => pieces(map, it, d, r)(p => key(checked(p, d))))
+      .mapPartitionsWithIndex((map, it) => pieces(map, it, d, r)((p, k, off) => key(checked(p, d), k, off)))
       .partitionBy(new HashPartitioner(r)))(it => Array(merge(it.map(_._2).toArray, d)))
-    def cat[T: ClassTag](f: Cells => Array[T]): Array[T] = Array.concat(ArraySeq.unsafeWrapArray(parts.map(f)): _*)
-    val ids = cat(_.ids)
+    val ids = cat(parts)(_.ids)
     requireDense(ids.length)(ids(_))
-    val (lo, hi) = (cat(_.lo), cat(_.hi))
+    val (lo, hi) = (cat(parts)(_.lo), cat(parts)(_.hi))
     val (nbrCounts, nbrs) = neighborLists(points.sparkContext, lo, hi, d, eps, par)
-    new CellIndex(eps, sideFor(eps, d), d, cat(_.sizes), ids, cat(_.coords), lo, hi, nbrCounts, nbrs)
+    new CellIndex(eps, sideFor(eps, d), d, cat(parts)(_.sizes), ids, cat(parts)(_.coords), lo, hi, nbrCounts, nbrs)
   }
+
+  private def cat[A, T: ClassTag](xs: Array[A])(f: A => Array[T]): Array[T] =
+    Array.concat(ArraySeq.unsafeWrapArray(xs.map(f)): _*)
 
   /** Map task `map`'s cells bound for one reducer: per cell, its key (d
     * ints) and size; per point, in cell order, its id and d coordinates. */
@@ -186,105 +201,112 @@ object CellIndex {
                             val lo: Array[Double], val hi: Array[Double]) extends Serializable
 
   /** Map task `map`'s points grouped by key, as one (reducer, piece) per
-    * reducer that gets a cell. */
-  private def pieces(map: Int, it: Iterator[Pt], d: Int, r: Int)(key: Pt => ArraySeq[Int]): Iterator[(Int, Piece)] = {
-    val cells = mutable.HashMap[ArraySeq[Int], (mutable.ArrayBuilder.ofInt, mutable.ArrayBuilder.ofDouble)]()
-    it.foreach { p =>
-      val (ids, xs) = cells.getOrElseUpdate(key(p), (new mutable.ArrayBuilder.ofInt, new mutable.ArrayBuilder.ofDouble))
-      ids += p.id.toInt
-      xs ++= p.x
+    * reducer that gets a cell, each piece's cells in first-seen order. */
+  private def pieces(map: Int, it: Iterator[Pt], d: Int, r: Int)(
+      key: (Pt, Array[Int], Int) => Unit): Iterator[(Int, Piece)] = {
+    val pts = it.toArray
+    val n = pts.length
+    val (keys, xs, ids) = (new Array[Int](n * d), new Array[Double](n * d), new Array[Int](n))
+    var i = 0
+    while (i < n) { key(pts(i), keys, i * d); System.arraycopy(pts(i).x, 0, xs, i * d, d); ids(i) = pts(i).id.toInt; i += 1 }
+    val t = new KeyTable(keys, d, n)
+    val (sizes, cellIds, coords) = scatter(t.size, t.cellOf, Array.fill(n)(1), ids, xs, d)
+    val out = Array.fill(r)((new mutable.ArrayBuilder.ofInt, new mutable.ArrayBuilder.ofInt,
+      new mutable.ArrayBuilder.ofInt, new mutable.ArrayBuilder.ofDouble))
+    var (c, p) = (0, 0)
+    while (c < t.size) {
+      val (ks, ss, is, cs) = out(Math.floorMod(KeyTable.hash(keys, t.first(c) * d, d), r))
+      ks.addAll(keys, t.first(c) * d, d); ss.addOne(sizes(c))
+      is.addAll(cellIds, p, sizes(c)); cs.addAll(coords, p * d, sizes(c) * d)
+      p += sizes(c); c += 1
     }
-    val keys = Array.fill(r)(new mutable.ArrayBuilder.ofInt)
-    val sizes = Array.fill(r)(new mutable.ArrayBuilder.ofInt)
-    val ids = Array.fill(r)(new mutable.ArrayBuilder.ofInt)
-    val coords = Array.fill(r)(new mutable.ArrayBuilder.ofDouble)
-    cells.foreach { case (k, (is, xs)) =>
-      val b = Math.floorMod(k.hashCode, r)
-      val a = is.result()
-      keys(b) ++= k; sizes(b) += a.length; ids(b) ++= a; coords(b) ++= xs.result()
+    Iterator.range(0, r).filter(out(_)._2.length > 0).map { b =>
+      val (ks, ss, is, cs) = out(b)
+      (b, new Piece(map, ks.result(), ss.result(), is.result(), cs.result()))
     }
-    Iterator.range(0, r).filter(sizes(_).length > 0)
-      .map(b => (b, new Piece(map, keys(b).result(), sizes(b).result(), ids(b).result(), coords(b).result())))
   }
 
   /** One reducer's pieces merged by key, each cell's points in map order,
     * and each cell's tight box. The boxes make the comparisons `BBox.of`
     * makes in the same order, so they equal its boxes bit for bit. */
   private def merge(in: Array[Piece], d: Int): Cells = {
-    val cells = mutable.HashMap[ArraySeq[Int], (mutable.ArrayBuilder.ofInt, mutable.ArrayBuilder.ofDouble)]()
-    for (piece <- in.sortBy(_.map)) {
-      var from = 0
-      for (s <- piece.sizes.indices) {
-        val (ids, xs) = cells.getOrElseUpdate(ArraySeq.unsafeWrapArray(piece.keys.slice(s * d, s * d + d)),
-          (new mutable.ArrayBuilder.ofInt, new mutable.ArrayBuilder.ofDouble))
-        val len = piece.sizes(s)
-        ids.addAll(piece.ids, from, len)
-        xs.addAll(piece.coords, from * d, len * d)
-        from += len
-      }
-    }
-    val m = cells.size
-    val sizes = new Array[Int](m)
-    val (ids, coords) = (new mutable.ArrayBuilder.ofInt, new mutable.ArrayBuilder.ofDouble)
+    val ps = in.sortBy(_.map)
+    val runs = cat(ps)(_.sizes)
+    val t = new KeyTable(cat(ps)(_.keys), d, runs.length)
+    val m = t.size
+    val (sizes, ids, coords) = scatter(m, t.cellOf, runs, cat(ps)(_.ids), cat(ps)(_.coords), d)
     val lo = Array.fill(m * d)(Double.PositiveInfinity)
     val hi = Array.fill(m * d)(Double.NegativeInfinity)
-    var c = 0
-    for ((is, xb) <- cells.valuesIterator) {
-      val xs = xb.result()
-      sizes(c) = xs.length / d
-      ids ++= is.result()
-      coords ++= xs
-      var k = 0
-      while (k < xs.length) {
+    var c = 0; var k = 0
+    while (c < m) {
+      val end = k + sizes(c) * d
+      while (k < end) {
         val b = c * d + k % d
-        if (xs(k) < lo(b)) lo(b) = xs(k)
-        if (xs(k) > hi(b)) hi(b) = xs(k)
+        if (coords(k) < lo(b)) lo(b) = coords(k)
+        if (coords(k) > hi(b)) hi(b) = coords(k)
         k += 1
       }
       c += 1
     }
-    new Cells(sizes, ids.result(), coords.result(), lo, hi)
+    new Cells(sizes, ids, coords, lo, hi)
+  }
+
+  /** Runs of points laid out by cell, by one counting pass: run i holds the
+    * `runs(i)` points after the earlier runs' points in `ids` and `coords`
+    * (d values each) and belongs to cell `cellOf(i)` of m. Returns each
+    * cell's size, and the ids and coordinates in cell order, each cell's
+    * points in run order. */
+  private def scatter(m: Int, cellOf: Array[Int], runs: Array[Int], ids: Array[Int], coords: Array[Double],
+                      d: Int): (Array[Int], Array[Int], Array[Double]) = {
+    val sizes = new Array[Int](m)
+    var i = 0
+    while (i < runs.length) { sizes(cellOf(i)) += runs(i); i += 1 }
+    val next = sizes.scanLeft(0)(_ + _)
+    val (outIds, outXs) = (new Array[Int](ids.length), new Array[Double](coords.length))
+    var from = 0
+    i = 0
+    while (i < runs.length) {
+      val (to, len) = (next(cellOf(i)), runs(i))
+      System.arraycopy(ids, from, outIds, to, len)
+      System.arraycopy(coords, from * d, outXs, to * d, len * d)
+      next(cellOf(i)) += len; from += len; i += 1
+    }
+    (sizes, outIds, outXs)
   }
 
   /** For each of the m boxes that are the `d` values at offset c·d of `lo`
     * and `hi`, the sorted ids of the other boxes within `eps` of it — its
     * neighboring cells — as one CSR pair: each box's neighbor count, and the
-    * lists one after another. A k-d tree over the box centers finds the
-    * candidates (paper §5.1: enumerating the neighbor cells is exponential
-    * in d, the tree finds only the non-empty ones): centers within ε + the
-    * largest box diagonal cover every box within ε, and the box distance
-    * filters them. The per-box queries are one [[Par.perCell]] pass over the
-    * broadcast tree and boxes; on the driver they are the bottleneck when
-    * most cells hold one point. */
+    * lists one after another. A k-d tree over the boxes finds them (paper
+    * §5.1: enumerating the neighbor cells is exponential in d, the tree
+    * finds only the non-empty ones), pruning and reporting by the box
+    * distance itself, so it visits no box beyond `eps`. The queries are one
+    * [[Par.perCell]] pass over the broadcast tree and boxes, each task
+    * taking one range of the cells and returning their counts and lists as
+    * two flat arrays; on the driver they are the bottleneck when most cells
+    * hold one point. */
   private[repro] def neighborLists(sc: SparkContext, lo: Array[Double], hi: Array[Double], d: Int,
                                    eps: Double, par: Int): (Array[Int], Array[Int]) = {
     val m = lo.length / d
-    val centers = Array.tabulate(m * d)(i => (lo(i) + hi(i)) / 2)
-    // A box's squared diagonal is its corner `lo`'s squared distance to its far corner.
-    var maxDiag2 = 0.0
-    var c = 0
-    while (c < m) { maxDiag2 = math.max(maxDiag2, BBox.maxSqDistTo(lo, hi, c * d, d, lo, c * d)); c += 1 }
-    val r = eps + math.sqrt(maxDiag2)
-    val e2 = eps * eps
+    val tasks = math.min(m, Par.parts(m, Par.threads(sc, par)))
     val lists = Par.sharing(sc) { share =>
-      val bc = share((KDTree.over(centers, d, Array.range(0, m)), lo, hi))
-      Par.perCell(sc, 0 until m, par) { c =>
+      val bc = share((KDTree.overBoxes(lo, hi, d, Array.range(0, m)), lo, hi))
+      Par.perCell(sc, 0 until tasks, par) { t =>
         val (tree, bl, bh) = bc.value
-        val q = Array.tabulate(d)(j => (bl(c * d + j) + bh(c * d + j)) / 2)
-        val near = tree.within(q, r).filter(h => h != c && BBox.sqDistBetween(bl, bh, c * d, bl, bh, h * d, d) <= e2)
-        java.util.Arrays.sort(near)
-        Some(near)
+        val (from, until) = ((m.toLong * t / tasks).toInt, (m.toLong * (t + 1) / tasks).toInt)
+        val counts = new Array[Int](until - from)
+        val out = new mutable.ArrayBuilder.ofInt
+        for (c <- from until until) {
+          val near = tree.withinBox(bl, bh, c * d, eps)
+          java.util.Arrays.sort(near)
+          var i = 0
+          while (i < near.length) { if (near(i) != c) out.addOne(near(i)); i += 1 }
+          counts(c - from) = near.length - 1 // the box itself is at distance 0
+        }
+        Some((counts, out.result()))
       }
     }
-    val counts = new Array[Int](m)
-    var total = 0
-    c = 0
-    while (c < m) { counts(c) = lists(c).length; total += counts(c); c += 1 }
-    val flat = new Array[Int](total)
-    total = 0
-    c = 0
-    while (c < m) { System.arraycopy(lists(c), 0, flat, total, counts(c)); total += counts(c); c += 1 }
-    (counts, flat)
+    (cat(lists)(_._1), cat(lists)(_._2))
   }
 
   /** Every per-point array is indexed by id, so the ids `idAt(0 until n)`
@@ -335,4 +357,54 @@ object CellIndex {
     }
     lo
   }
+}
+
+/** The distinct keys among `count` keys of `d` ints each, key i being the d
+  * ints at offset i·d of `keys`, numbered first seen first: `cellOf(i)` is
+  * key i's number and `first(c)` the first key numbered c. The numbering is
+  * paper §4.1's semisort on integer keys: an open-addressing table of
+  * [[KeyTable.capacity]]`(count)` slots with linear probing, where each key
+  * starts at the slot of its `Long` hash and keys that share a slot are told
+  * apart by comparing all d ints. The order does not depend on the hash. */
+private[core] final class KeyTable(keys: Array[Int], d: Int, count: Int) {
+  val cellOf = new Array[Int](count)
+  private val firsts = new Array[Int](count)
+  private var m = 0
+  locally {
+    val cap = KeyTable.capacity(count)
+    val slots = new Array[Int](cap) // 1 + the number of the key in the slot, or 0
+    var i = 0
+    while (i < count) {
+      var s = KeyTable.slot(KeyTable.hash(keys, i * d, d), cap)
+      while (slots(s) > 0 && !java.util.Arrays.equals(keys, firsts(slots(s) - 1) * d, firsts(slots(s) - 1) * d + d,
+          keys, i * d, i * d + d)) s = (s + 1) & (cap - 1)
+      if (slots(s) == 0) { firsts(m) = i; m += 1; slots(s) = m }
+      cellOf(i) = slots(s) - 1
+      i += 1
+    }
+  }
+
+  /** The number of distinct keys. */
+  def size: Int = m
+  def first(c: Int): Int = firsts(c)
+}
+
+private[core] object KeyTable {
+
+  /** Slots for `count` keys: a power of two, more than twice `count`. */
+  def capacity(count: Int): Int = Integer.highestOneBit(math.max(count, 1)) * 4
+
+  /** The d ints at offset `off` of `keys` mixed into one `Long`. A key's
+    * reducer is `floorMod(hash, r)` and its first slot comes from the high
+    * 32 bits, so the keys one reducer gets still spread over its table. */
+  def hash(keys: Array[Int], off: Int, d: Int): Long = {
+    var h = 0L; var j = 0
+    while (j < d) { h = (h + (keys(off + j) & 0xFFFFFFFFL)) * 0x9E3779B97F4A7C15L; j += 1 }
+    h = (h ^ (h >>> 30)) * 0xBF58476D1CE4E5B9L
+    h = (h ^ (h >>> 27)) * 0x94D049BB133111EBL
+    h ^ (h >>> 31)
+  }
+
+  /** The slot at which a key of hash `h` starts probing in a table of `cap` slots. */
+  def slot(h: Long, cap: Int): Int = (h >>> 32).toInt & (cap - 1)
 }

@@ -184,9 +184,9 @@ object Par {
     * ConnCtx build, ClusterCore and ClusterBorder: runs the per-cell
     * function on each element of `cells` as one [[collect]] job with
     * [[parts]]`(cells.length, par)` partitions and returns what it emits, in
-    * input order. The elements are cell ids, except in ClusterCore, whose
-    * elements are its task slices (one job per round over the ids
-    * `0 until T`, one slice per task). Like every Spark job in `core/` and
+    * input order. The elements are cell ids, except in the neighbor search
+    * and ClusterCore, whose elements are task slices (ids `0 until T`, one
+    * slice of the cells per task; in ClusterCore one job per round). Like every Spark job in `core/` and
     * `baselines/`, it goes through `collect`, so Spark cleans one small
     * closure per job instead of parsing its own `RDD` and `SparkContext`
     * classes twice. It may emit any number of results per cell. `f` is

@@ -102,7 +102,13 @@ object BBox {
   /** Tight bounding box of the points at positions `pos(from until until)`
     * of a flat coordinate array with `d` values per point; no positions give
     * the empty box (+∞, −∞). */
-  def of(coords: Array[Double], d: Int, pos: Array[Int], from: Int, until: Int): BBox = {
+  def of(coords: Array[Double], d: Int, pos: Array[Int], from: Int, until: Int): BBox =
+    of(coords, coords, d, pos, from, until)
+
+  /** The union of the boxes at positions `pos(from until until)` of flat
+    * arrays of low and high corners with `d` values per box; a point is the
+    * box whose corners are equal. */
+  def of(boxLo: Array[Double], boxHi: Array[Double], d: Int, pos: Array[Int], from: Int, until: Int): BBox = {
     val lo = Array.fill(d)(Double.PositiveInfinity)
     val hi = Array.fill(d)(Double.NegativeInfinity)
     var i = from
@@ -110,9 +116,8 @@ object BBox {
       val p = pos(i)
       var j = 0
       while (j < d) {
-        val v = coords(p * d + j)
-        if (v < lo(j)) lo(j) = v
-        if (v > hi(j)) hi(j) = v
+        if (boxLo(p * d + j) < lo(j)) lo(j) = boxLo(p * d + j)
+        if (boxHi(p * d + j) > hi(j)) hi(j) = boxHi(p * d + j)
         j += 1
       }
       i += 1

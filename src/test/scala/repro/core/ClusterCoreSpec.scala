@@ -66,7 +66,8 @@ class ClusterCoreSpec extends SparkSpec {
   }
 
   test("one task prunes queries against the links it found, also without bucketing") {
-    // The skewed data above; at parallelism 1 the one batch is one task.
+    // The skewed data above; at parallelism 1 one task walks the whole size
+    // order in its one round.
     val pts = TestUtil.blobPts(3000, 2, numBlobs = 1, sigma = 4.0, extent = 20.0,
       noiseFrac = 0.0, seed = 17L)
     val g = run(pts, 2, 3.0, 5, BcpGraph, bucketing = false, par = 1).stats.graph

@@ -27,4 +27,11 @@ class SweepsSpec extends SparkSpec {
     for (r <- out.rows)
       assert(out.report.contains(r.method) && out.report.contains(s"queries=${r.queriesRun}/"))
   }
+
+  test("speedup sweeps p up to the host's parallelism and always includes it") {
+    assert(Sweeps.parallelisms(1) === Seq(1))
+    assert(Sweeps.parallelisms(4) === Seq(1, 2, 4))
+    assert(Sweeps.parallelisms(6) === Seq(1, 2, 4, 6))
+    assert(Sweeps.parallelisms(32) === Seq(1, 2, 4, 8, 16, 32))
+  }
 }

@@ -2,11 +2,12 @@ package repro.geometry
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
-import repro.core.{Dist, Pt}
+import repro.core.{BBox, Dist, Pt}
 
 import java.util.SplittableRandom
 
-/** k-d tree vs brute force over many random configurations. */
+/** k-d tree vs brute force over many random configurations, over points and
+  * over boxes. */
 class KDTreeSpec extends AnyFunSuite {
 
   private def brute(pts: Array[Pt], q: Array[Double], r: Double): Array[Pt] =
@@ -73,5 +74,34 @@ class KDTreeSpec extends AnyFunSuite {
     val tree = KDTree.build(pts)
     assert(tree.countWithin(Array(0.0, 0.0), 5.0) === 2)
     assert(tree.countWithin(Array(0.0, 0.0), 4.999) === 1)
+  }
+
+  for {
+    d <- 1 to 7
+    n <- Seq(1, 17, 300)
+  } test(s"withinBox matches the box distance by brute force d=$d n=$n") {
+    // Boxes of random extent, a tenth of them single points, some repeated.
+    val rnd = new SplittableRandom(d * 1000L + n)
+    val lo = Array.fill(n * d)(rnd.nextDouble() * 100)
+    val hi = Array.tabulate(n * d)(i => if (i / d % 10 == 0) lo(i) else lo(i) + rnd.nextDouble() * 8)
+    if (n > 1) { System.arraycopy(lo, 0, lo, d, d); System.arraycopy(hi, 0, hi, d, d) }
+    val tree = KDTree.overBoxes(lo, hi, d, Array.tabulate(n)(i => 1000 + i))
+    assert(tree.size === n)
+    def brute(qlo: Array[Double], qhi: Array[Double], off: Int, r: Double) =
+      (0 until n).filter(b => BBox.sqDistBetween(qlo, qhi, off, lo, hi, b * d, d) <= r * r).map(1000 + _)
+    for (i <- 0 until n; r <- Seq(0.0, rnd.nextDouble() * 30))
+      assert(tree.withinBox(lo, hi, i * d, r).sorted.toSeq === brute(lo, hi, i * d, r), s"box $i r=$r")
+    for (_ <- 0 until 20) {
+      val qlo = Array.fill(d)(rnd.nextDouble() * 120 - 10)
+      val qhi = qlo.map(_ + rnd.nextDouble() * 5)
+      val r = rnd.nextDouble() * 40
+      assert(tree.withinBox(qlo, qhi, 0, r).sorted.toSeq === brute(qlo, qhi, 0, r))
+    }
+  }
+
+  test("an empty box tree finds nothing") {
+    val tree = KDTree.overBoxes(Array.empty[Double], Array.empty[Double], 2, Array.empty[Int])
+    assert(tree.size === 0)
+    assert(tree.withinBox(Array(0.0, 0.0), Array(1.0, 1.0), 0, 1e300).isEmpty)
   }
 }
