@@ -1,5 +1,6 @@
 package repro.core
 
+import scala.collection.mutable
 import scala.reflect.ClassTag
 import org.apache.spark.SparkContext
 import org.apache.spark.broadcast.Broadcast
@@ -32,7 +33,8 @@ final case class ApproxGraph(rho: Double) extends GraphMethod {
 }
 
 /** Per-run connectivity context: everything a distributed pair-query needs
-  * beyond the broadcast [[CellIndex]]. Built once after MarkCore. */
+  * beyond the broadcast [[CellIndex]]. MarkCore's job builds it: each task
+  * sets up its core cells' parts (see `ConnCtx.pass`). */
 final class ConnCtx(
     val coreCount: Array[Int],
     val coreLo: Array[Array[Double]],  // bbox of each cell's core points (null if none)
@@ -44,62 +46,117 @@ final class ConnCtx(
 
 object ConnCtx {
 
-  /** Assemble the context. Quadtree / sorted-array builds run distributed. */
+  /** One task's share of [[pass]] over its cells `[from, until)`, flat: the
+    * ids of their core points, each cell's core count, and per core cell in
+    * order its core box (d values each of `lo` and `hi`) and its quadtree or
+    * sorted arrays, when `method` queries them. */
+  private final class Part(val coreIds: Array[Int], val counts: Array[Int], val lo: Array[Double],
+                           val hi: Array[Double], val qts: Array[QuadTree], val s0: Array[Array[Pt]],
+                           val s1: Array[Array[Pt]]) extends Serializable
+
+  /** The context from core flags already known. Methods that build nothing
+    * per cell (BCP, Delaunay) need only counts and boxes, which the driver
+    * sets up without a job. */
   def build(sc: SparkContext, bcIdx: Broadcast[CellIndex], bcFlags: Broadcast[Array[Boolean]],
             method: GraphMethod, par: Int = 0): ConnCtx = {
+    def flagged: (Int, Array[Int]) => Int = {
+      val (i, fl) = (bcIdx.value, bcFlags.value)
+      (c, out) => {
+        var k = 0; var p = i.start(c)
+        while (p < i.start(c + 1)) { if (fl(i.ids(p))) { out(k) = p; k += 1 }; p += 1 }
+        k
+      }
+    }
+    method match {
+      case QtGraph | ApproxGraph(_) | UsecGraph => pass(sc, bcIdx, method, par)(flagged)._2
+      case _ =>
+        val idx = bcIdx.value
+        assemble(idx, method, Array(part(idx, method, 0, idx.numCells, flagged)))._2
+    }
+  }
+
+  /** The one per-cell pass of MarkCore and the context's set-up (paper Alg.
+    * 1–3: both are flat loops over cells): one [[Par.perCell]] job over task
+    * slices of the cells, each task opening `mark` once. `mark(c, out)`
+    * writes cell c's core positions, ascending, to the start of `out` and
+    * returns their number; the same task then sets up the cell's part of the
+    * context from them. Returns the core flag of every point id and the
+    * context. */
+  private[core] def pass(sc: SparkContext, bcIdx: Broadcast[CellIndex], method: GraphMethod, par: Int)(
+      mark: => (Int, Array[Int]) => Int): (Array[Boolean], ConnCtx) = {
     val idx = bcIdx.value
-    val flags = bcFlags.value
+    require(method != UsecGraph || idx.d == 2, "USEC cell graph is 2D-only")
     val m = idx.numCells
-    val coreCount = new Array[Int](m)
-    val coreLo = new Array[Array[Double]](m)
-    val coreHi = new Array[Array[Double]](m)
-    val cps = new Array[Int](idx.ids.length) // one cell's core positions at a time
-    var c = 0
-    while (c < m) {
-      var k = 0; var p = idx.start(c); val end = idx.start(c + 1)
-      while (p < end) { if (flags(idx.ids(p))) { cps(k) = p; k += 1 }; p += 1 }
-      coreCount(c) = k
+    val tasks = math.min(m, Par.parts(m, Par.threads(sc, par)))
+    assemble(idx, method, Par.perCell(sc, 0 until tasks, par) { t =>
+      Some(part(bcIdx.value, method, (m.toLong * t / tasks).toInt, (m.toLong * (t + 1) / tasks).toInt, mark))
+    })
+  }
+
+  /** Marks cells `[from, until)` with `mark` and sets up their core cells:
+    * the core box always; the quadtree over the core points for the
+    * quadtree graphs (ρ-approximate for [[ApproxGraph]]); the core points
+    * sorted by each axis for USEC. */
+  private def part(idx: CellIndex, method: GraphMethod, from: Int, until: Int,
+                   mark: (Int, Array[Int]) => Int): Part = {
+    val d = idx.d
+    val minSide = method match {
+      case ApproxGraph(rho) => rho * idx.cellSide // ρ·ε/√d
+      case _                => 0.0
+    }
+    val cps = new Array[Int]((from until until).foldLeft(0)((s, c) => math.max(s, idx.size(c))))
+    val counts = new Array[Int](until - from)
+    val (ids, lo, hi) = (new mutable.ArrayBuilder.ofInt, new mutable.ArrayBuilder.ofDouble,
+      new mutable.ArrayBuilder.ofDouble)
+    val (qts, s0, s1) = (mutable.ArrayBuilder.make[QuadTree], mutable.ArrayBuilder.make[Array[Pt]],
+      mutable.ArrayBuilder.make[Array[Pt]])
+    var c = from
+    while (c < until) {
+      val k = mark(c, cps)
+      counts(c - from) = k
       if (k > 0) {
-        val bb = BBox.of(idx.coords, idx.d, cps, 0, k)
-        coreLo(c) = bb.lo; coreHi(c) = bb.hi
+        var i = 0
+        while (i < k) { ids += idx.ids(cps(i)); i += 1 }
+        val bb = BBox.of(idx.coords, d, cps, 0, k)
+        lo ++= bb.lo; hi ++= bb.hi
+        method match {
+          case QtGraph | ApproxGraph(_) =>
+            qts += QuadTree.over(idx.coords, d, cps.take(k), idx.qtLo(c), idx.cellSide, minSide)
+          case UsecGraph =>
+            val pts = Array.tabulate(k)(i => Pt(idx.ids(cps(i)), idx.coords.slice(cps(i) * d, cps(i) * d + d)))
+            s0 += pts.sortBy(_.x(0)); s1 += pts.sortBy(_.x(1))
+          case _ =>
+        }
       }
       c += 1
     }
-    // Per-core-cell builds run over the core cells only (most cells are
-    // noise); `byCell` places their results at the cell ids.
-    val coreCells = (0 until m).filter(coreCount(_) > 0)
-    def byCell[T: ClassTag](built: Array[T]): Array[T] = {
-      val out = new Array[T](m)
-      coreCells.indices.foreach(i => out(coreCells(i)) = built(i))
+    new Part(ids.result(), counts, lo.result(), hi.result(), qts.result(), s0.result(), s1.result())
+  }
+
+  /** The flags and the context from the parts of consecutive cell ranges,
+    * in cell order. */
+  private def assemble(idx: CellIndex, method: GraphMethod, parts: Array[Part]): (Array[Boolean], ConnCtx) = {
+    val flags = new Array[Boolean](idx.n.toInt)
+    parts.foreach(_.coreIds.foreach(flags(_) = true))
+    val counts = CellIndex.cat(parts)(_.counts)
+    val core = counts.indices.filter(counts(_) > 0)
+    // The i-th core cell's value of `all` placed at its cell id.
+    def byCell[T: ClassTag](all: Array[T]): Array[T] = {
+      val out = new Array[T](counts.length)
+      core.indices.foreach(i => out(core(i)) = all(i))
       out
     }
-
+    val d = idx.d
+    def boxes(xs: Array[Double]) = byCell(Array.tabulate(core.length)(i => xs.slice(i * d, i * d + d)))
     val qts = method match {
-      case QtGraph | ApproxGraph(_) =>
-        val minSide = method match {
-          case ApproxGraph(rho) => rho * idx.cellSide // ρ·ε/√d
-          case _                => 0.0
-        }
-        byCell(Par.perCell(sc, coreCells, par) { c =>
-          val i = bcIdx.value
-          val cps = Array.range(i.start(c), i.start(c + 1)).filter(p => bcFlags.value(i.ids(p)))
-          Some(QuadTree.over(i.coords, i.d, cps, i.qtLo(c), i.cellSide, minSide))
-        })
-      case _ => null
+      case QtGraph | ApproxGraph(_) => byCell(CellIndex.cat(parts)(_.qts))
+      case _                        => null
     }
-
     val (s0, s1) = method match {
-      case UsecGraph =>
-        require(idx.d == 2, "USEC cell graph is 2D-only")
-        val sorted = Par.perCell(sc, coreCells, par) { c =>
-          val cps = bcIdx.value.pts(c).filter(p => bcFlags.value(p.id.toInt))
-          Some((cps.sortBy(_.x(0)), cps.sortBy(_.x(1))))
-        }
-        (byCell(sorted.map(_._1)), byCell(sorted.map(_._2)))
-      case _ => (null, null)
+      case UsecGraph => (byCell(CellIndex.cat(parts)(_.s0)), byCell(CellIndex.cat(parts)(_.s1)))
+      case _         => (null, null)
     }
-
-    new ConnCtx(coreCount, coreLo, coreHi, qts, s0, s1)
+    (flags, new ConnCtx(counts, boxes(CellIndex.cat(parts)(_.lo)), boxes(CellIndex.cat(parts)(_.hi)), qts, s0, s1))
   }
 }
 

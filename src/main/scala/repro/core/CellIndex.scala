@@ -187,7 +187,8 @@ object CellIndex {
     new CellIndex(eps, sideFor(eps, d), d, cat(parts)(_.sizes), ids, cat(parts)(_.coords), lo, hi, nbrCounts, nbrs)
   }
 
-  private def cat[A, T: ClassTag](xs: Array[A])(f: A => Array[T]): Array[T] =
+  /** `f` of each of `xs`, concatenated. */
+  private[core] def cat[A, T: ClassTag](xs: Array[A])(f: A => Array[T]): Array[T] =
     Array.concat(ArraySeq.unsafeWrapArray(xs.map(f)): _*)
 
   /** Map task `map`'s cells bound for one reducer: per cell, its key (d

@@ -34,15 +34,21 @@ object ClusterBorder {
       val eps = i.eps
       val e2 = eps * eps
       val (d, xs) = (i.d, i.coords)
+      // The clusters a point borders, distinct: at most one per cell of g
+      // and its neighbors.
+      val found = new Array[Int](1 + i.nbrCounts.foldLeft(0)(math.max))
       g => Iterator.range(start(g), start(g + 1)).filter(p => !fl(ids(p))).flatMap { p =>
-        val comps = mutable.SortedSet[Int]()
         // Everything in the own cell is within ε: any core point in g puts p
         // in g's cluster without a distance check.
-        if (comp(g) >= 0) comps += comp(g)
-        var k = nbrStart(g)
-        while (k < nbrStart(g + 1)) {
-          val h = nbrs(k)
-          if (comp(h) >= 0 && !comps.contains(comp(h)) && i.minSqDistToCell(h, xs, p * d) <= e2) {
+        var k = 0
+        if (comp(g) >= 0) { found(0) = comp(g); k = 1 }
+        var n = nbrStart(g)
+        while (n < nbrStart(g + 1)) {
+          val h = nbrs(n)
+          var seen = comp(h) < 0
+          var f = 0
+          while (!seen && f < k) { seen = found(f) == comp(h); f += 1 }
+          if (!seen && i.minSqDistToCell(h, xs, p * d) <= e2) {
             var j = start(h)
             val end = start(h + 1)
             var hit = false
@@ -50,12 +56,19 @@ object ClusterBorder {
               if (fl(ids(j)) && Dist.leq(xs, j * d, xs, p * d, d, eps)) hit = true
               j += 1
             }
-            if (hit) comps += comp(h)
+            if (hit) { found(k) = comp(h); k += 1 }
           }
-          k += 1
+          n += 1
         }
-        // One array per border point: its id, then its cluster ids.
-        if (comps.nonEmpty) Iterator.single(ids(p) +: comps.toArray) else Iterator.empty
+        // One array per border point: its id, then its cluster ids, sorted.
+        if (k == 0) Iterator.empty
+        else {
+          val a = new Array[Int](k + 1)
+          a(0) = ids(p)
+          System.arraycopy(found, 0, a, 1, k)
+          java.util.Arrays.sort(a, 1, k + 1)
+          Iterator.single(a)
+        }
       }
     }
     val out = Array.fill(idx.n.toInt)(Array.emptyIntArray)

@@ -80,7 +80,10 @@ object DBSCANConfig {
     variants.collectFirst { case (`name`, f) => f(eps, minPts, rho) }
 }
 
-/** Phase timings (ms) and graph stats of one run. */
+/** Phase timings (ms) and graph stats of one run. `markCoreMs` covers the
+  * cell quadtrees (QtCore) and MarkCore's job, which also sets up the
+  * connectivity context, and the broadcasts of both; `clusterCoreMs` covers
+  * the cell graph and its components. */
 final case class RunStats(
     gridMs: Long, markCoreMs: Long, clusterCoreMs: Long, clusterBorderMs: Long,
     graph: GraphStats) {
@@ -180,13 +183,15 @@ object Par {
     Array.concat(ArraySeq.unsafeWrapArray(out): _*)
   }
 
-  /** The parallel loop over cells of the neighbor search, MarkCore, the
-    * ConnCtx build, ClusterCore and ClusterBorder: runs the per-cell
-    * function on each element of `cells` as one [[collect]] job with
+  /** The parallel loop over cells of the neighbor search, the cell
+    * quadtrees, MarkCore (which sets up the ConnCtx in the same job),
+    * ClusterCore and ClusterBorder: runs the per-cell function on each
+    * element of `cells` as one [[collect]] job with
     * [[parts]]`(cells.length, par)` partitions and returns what it emits, in
-    * input order. The elements are cell ids, except in the neighbor search
-    * and ClusterCore, whose elements are task slices (ids `0 until T`, one
-    * slice of the cells per task; in ClusterCore one job per round). Like every Spark job in `core/` and
+    * input order. The elements are cell ids, except in the neighbor search,
+    * MarkCore and ClusterCore, whose elements are task slices (ids `0 until
+    * T`, one slice of the cells per task, which returns one flat block; in
+    * ClusterCore one job per round). Like every Spark job in `core/` and
     * `baselines/`, it goes through `collect`, so Spark cleans one small
     * closure per job instead of parsing its own `RDD` and `SparkContext`
     * classes twice. It may emit any number of results per cell. `f` is
@@ -208,6 +213,11 @@ object DBSCAN {
     val sc = spark.sparkContext
     val par = cfg.parallelism
     require(cfg.cellMethod == GridCells || d == 2, "box cells are 2D-only")
+    cfg.graphMethod match {
+      case UsecGraph     => require(d == 2, "USEC cell graph is 2D-only")
+      case DelaunayGraph => require(d == 2, "Delaunay cell graph is 2D-only")
+      case _             =>
+    }
     Par.sharing(sc) { share =>
       var t0 = System.nanoTime()
       val idx = cfg.cellMethod match {
@@ -222,12 +232,12 @@ object DBSCAN {
         case QtCore   => Some(share(MarkCore.buildCellQuadTrees(sc, bcIdx, par)))
         case ScanCore => None
       }
-      val flags = MarkCore.run(sc, bcIdx, cfg.minPts, bcQt, par)
+      val (flags, ctx) = MarkCore.withCtx(sc, bcIdx, cfg.minPts, bcQt, cfg.graphMethod, par)
       val bcFlags = share(flags)
+      val bcCtx = share(ctx)
       val markMs = (System.nanoTime() - t0) / 1000000
 
       t0 = System.nanoTime()
-      val bcCtx = share(ConnCtx.build(sc, bcIdx, bcFlags, cfg.graphMethod, par))
       val (cellCluster, gStats) =
         ClusterCore.run(sc, bcIdx, bcFlags, bcCtx, cfg.graphMethod, cfg.bucketing,
           cfg.numBuckets, par)

@@ -14,7 +14,8 @@ import repro.geometry.QuadTree
   * reaches minPts. A neighbor cell whose box lies wholly within ε of the
   * point counts whole, and a cell that holds fewer than minPts points with
   * its neighbors together is skipped. The per-cell loop is one
-  * [[Par.perCell]] pass.
+  * [[Par.perCell]] pass, which also sets up each core cell's part of the
+  * run's [[ConnCtx]].
   */
 object MarkCore {
 
@@ -30,52 +31,60 @@ object MarkCore {
 
   /** Returns the core flag for every point id in [0, n). */
   def run(sc: SparkContext, bcIdx: Broadcast[CellIndex], minPts: Int,
-          bcQt: Option[Broadcast[Array[QuadTree]]], par: Int = 0): Array[Boolean] = {
-    val coreIds = Par.perCell(sc, 0 until bcIdx.value.numCells, par) {
+          bcQt: Option[Broadcast[Array[QuadTree]]], par: Int = 0): Array[Boolean] =
+    withCtx(sc, bcIdx, minPts, bcQt, BcpGraph, par)._1 // BCP sets up the least
+
+  /** The core flag for every point id in [0, n), and the [[ConnCtx]] of
+    * `method`, from one job: each task marks its cells' core points and sets
+    * up their parts of the context (see `ConnCtx.pass`). */
+  def withCtx(sc: SparkContext, bcIdx: Broadcast[CellIndex], minPts: Int,
+              bcQt: Option[Broadcast[Array[QuadTree]]], method: GraphMethod,
+              par: Int = 0): (Array[Boolean], ConnCtx) =
+    ConnCtx.pass(sc, bcIdx, method, par) {
       // The offsets are lazy vals: read them once per task, not per test.
       val idx = bcIdx.value
-      val (start, nbrStart, nbrs, ids) = (idx.start, idx.nbrStart, idx.nbrs, idx.ids)
+      val (start, nbrStart, nbrs) = (idx.start, idx.nbrStart, idx.nbrs)
       val size = idx.cellSizes
       val eps = idx.eps
       val e2 = eps * eps
       val (d, xs, lo, hi) = (idx.d, idx.coords, idx.cellLo, idx.cellHi)
       val qts = bcQt.map(_.value)
-      c => {
+      def isCore(c: Int, p: Int): Boolean = {
+        var count = start(c + 1) - start(c) // everything in the own cell is within ε
+        var k = nbrStart(c)
+        while (count < minPts && k < nbrStart(c + 1)) {
+          val h = nbrs(k)
+          if (BBox.minSqDistTo(lo, hi, h * d, d, xs, p * d) <= e2) {
+            // A box wholly within ε of p counts whole; float subtraction
+            // and squaring are monotone, so this agrees with `Dist.leq`.
+            if (BBox.maxSqDistTo(lo, hi, h * d, d, xs, p * d) <= e2) count += size(h)
+            else qts match {
+              case Some(qt) => count += qt(h).count(xs, p * d, eps, minPts - count)
+              case None =>
+                var j = start(h)
+                val end = start(h + 1)
+                while (count < minPts && j < end) {
+                  if (Dist.leq(xs, j * d, xs, p * d, d, eps)) count += 1
+                  j += 1
+                }
+            }
+          }
+          k += 1
+        }
+        count >= minPts
+      }
+      (c, out) => {
         val (s, e) = (start(c), start(c + 1))
         // Points in c and its neighbors: no point of c counts more.
         var reach = e - s
         var n = nbrStart(c)
         while (reach < minPts && n < nbrStart(c + 1)) { reach += size(nbrs(n)); n += 1 }
-        if (e - s >= minPts) Iterator.range(s, e).map(ids(_))
-        else if (reach < minPts) Iterator.empty
-        else Iterator.range(s, e).filter { p =>
-          var count = e - s // everything in the own cell is within ε
-          var k = nbrStart(c)
-          while (count < minPts && k < nbrStart(c + 1)) {
-            val h = nbrs(k)
-            if (BBox.minSqDistTo(lo, hi, h * d, d, xs, p * d) <= e2) {
-              // A box wholly within ε of p counts whole; float subtraction
-              // and squaring are monotone, so this agrees with `Dist.leq`.
-              if (BBox.maxSqDistTo(lo, hi, h * d, d, xs, p * d) <= e2) count += size(h)
-              else qts match {
-                case Some(qt) => count += qt(h).count(xs, p * d, eps, minPts - count)
-                case None =>
-                  var j = start(h)
-                  val end = start(h + 1)
-                  while (count < minPts && j < end) {
-                    if (Dist.leq(xs, j * d, xs, p * d, d, eps)) count += 1
-                    j += 1
-                  }
-              }
-            }
-            k += 1
-          }
-          count >= minPts
-        }.map(ids(_))
+        var k = 0
+        if (reach >= minPts) {
+          var p = s
+          while (p < e) { if (e - s >= minPts || isCore(c, p)) { out(k) = p; k += 1 }; p += 1 }
+        }
+        k
       }
     }
-    val flags = new Array[Boolean](bcIdx.value.n.toInt)
-    coreIds.foreach(flags(_) = true)
-    flags
-  }
 }

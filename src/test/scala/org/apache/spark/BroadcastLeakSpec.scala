@@ -95,13 +95,12 @@ class BroadcastLeakSpec extends SparkSpec {
   }
 
   test("a run that fails in a phase still destroys its broadcasts") {
-    // USEC is 2D-only: ConnCtx.build rejects 3D input after MarkCore ran.
-    val pts3d = TestUtil.blobPts(300, 3, numBlobs = 2, sigma = 2.0, extent = 40.0,
-      noiseFrac = 0.1, seed = 6L)
+    // Job 4 is MarkCore's (cells run 2, the cell quadtrees 1): it fails
+    // after the cell index and the cell quadtrees are broadcast.
     assertNoLeak {
-      val cfg = DBSCANConfig(4.0, 5, GridCells, ScanCore, UsecGraph)
-      intercept[IllegalArgumentException] {
-        DBSCAN.run(spark, spark.sparkContext.parallelize(pts3d.toSeq, 4), 3, cfg)
+      val cfg = DBSCANConfig(3.0, 5, GridCells, QtCore, UsecGraph)
+      intercept[SparkException] {
+        cancellingJob(4)(DBSCAN.run(spark, spark.sparkContext.parallelize(pts2d.toSeq, 4), 2, cfg))
       }
     }
   }

@@ -66,6 +66,16 @@ object TestUtil {
     } finally listeners.foreach(sc.removeSparkListener)
   }
 
+  /** `body`'s result and the number of Spark jobs it ran. */
+  def jobsOf[T](sc: SparkContext)(body: => T): (T, Int) = {
+    val jobs = new java.util.concurrent.atomic.AtomicInteger
+    val out = listening(sc)(group => new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        if (jobGroup(e.properties) == group) jobs.incrementAndGet()
+    })(body)
+    (out, jobs.get)
+  }
+
   /** The cell of each point id in an index. */
   def cellOf(idx: CellIndex): Array[Int] = {
     val out = new Array[Int](idx.n.toInt)

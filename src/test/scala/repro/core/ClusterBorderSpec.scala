@@ -52,6 +52,24 @@ class ClusterBorderSpec extends SparkSpec {
     }
   }
 
+  test("border points carry the sorted distinct clusters of their core points within eps") {
+    // Many small, close clusters, so points border two or more of them.
+    for ((d, extent) <- Seq(2 -> 12.0, 3 -> 6.0)) {
+      val pts = TestUtil.blobPts(1500, d, numBlobs = 40, sigma = 0.8, extent = extent,
+        noiseFrac = 0.3, seed = 17L + d)
+      val (eps, minPts) = (0.6, 9)
+      val res = DBSCAN.run(spark, spark.sparkContext.parallelize(pts.toSeq, 4), d, DBSCANConfig(eps, minPts))
+      val core = pts.filter(p => res.isCore(p.id.toInt))
+      var multi = 0
+      for (p <- pts if !res.isCore(p.id.toInt)) {
+        val want = core.filter(q => Dist.leq(p.x, q.x, eps)).map(q => res.coreCluster(q.id.toInt)).distinct.sorted
+        assert(res.borderClusters(p.id.toInt).toSeq === want.toSeq, s"d=$d point ${p.id}")
+        if (want.length > 1) multi += 1
+      }
+      assert(multi >= 5, s"d=$d: $multi points border several clusters")
+    }
+  }
+
   test("noise points get no clusters") {
     val clump = (0 until 20).map(i => Pt(i, Array(0.0 + i * 1e-3, 0.0)))
     val far = Pt(20, Array(100.0, 100.0))

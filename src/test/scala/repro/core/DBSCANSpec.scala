@@ -255,6 +255,35 @@ class DBSCANSpec extends SparkSpec {
     }
   }
 
+  private def jobsOf[T](body: => T): (T, Int) = TestUtil.jobsOf(spark.sparkContext)(body)
+
+  test("a grid, scan run makes 5 jobs (4 with Delaunay), one more each with bucketing, QtCore and box cells") {
+    // Cells 2 (grouping, neighbor search), MarkCore with the connectivity
+    // set-up 1, ClusterCore 1 per round, ClusterBorder 1; Delaunay builds
+    // its cell graph on the driver. QtCore builds its cell quadtrees in a
+    // job, and box cells collect the coordinates for their boundaries.
+    val pts = TestUtil.blobPts(600, 2, 4, 2.0, 60.0, 0.2, 21L)
+    val want = NaiveDBSCAN.run(pts, 3.0, 8)
+    for (graph <- Seq(BcpGraph, UsecGraph, QtGraph, ApproxGraph(0.01), DelaunayGraph);
+         cells <- Seq(GridCells, BoxCells); core <- Seq(ScanCore, QtCore); bucketing <- Seq(false, true)) {
+      val cfg = DBSCANConfig(3.0, 8, cells, core, graph, bucketing)
+      val (res, jobs) = jobsOf(DBSCAN.run(spark, rdd(pts), 2, cfg))
+      val extra = Seq(bucketing && graph != DelaunayGraph, core == QtCore, cells == BoxCells).count(identity)
+      assert(jobs === (if (graph == DelaunayGraph) 4 else 5) + extra, s"$graph $cells $core bucketing=$bucketing")
+      if (graph != ApproxGraph(0.01)) TestUtil.assertSameClustering(res, want)
+    }
+  }
+
+  test("USEC and Delaunay reject d != 2 before any job runs") {
+    val pts = TestUtil.blobPts(300, 3, 2, 2.0, 40.0, 0.1, 6L)
+    for ((graph, name) <- Seq(UsecGraph -> "USEC", DelaunayGraph -> "Delaunay")) {
+      val cfg = DBSCANConfig(4.0, 5, graphMethod = graph)
+      val (e, jobs) = jobsOf(intercept[IllegalArgumentException](DBSCAN.run(spark, rdd(pts), 3, cfg)))
+      assert(e.getMessage.contains(s"$name cell graph is 2D-only"), e.getMessage)
+      assert(jobs === 0, name)
+    }
+  }
+
   test("every registered variant name round-trips through named and name") {
     for ((n, _) <- DBSCANConfig.variants) {
       val cfg = DBSCANConfig.named(n, 2.5, 8, 0.1).get

@@ -3,22 +3,13 @@ package repro.core
 import java.nio.file.{Files, Path, Paths}
 import scala.jdk.CollectionConverters._
 import org.apache.spark.TaskContext
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.{SparkSpec, TestUtil}
 
 /** Partition-count policy (serial runs must really be serial), the one job
   * primitive, and the per-cell Spark pass built on them. */
 class ParSpec extends SparkSpec {
 
-  /** `body`'s result and the number of Spark jobs it ran. */
-  private def jobsOf[T](body: => T): (T, Int) = {
-    val jobs = new java.util.concurrent.atomic.AtomicInteger
-    val out = TestUtil.listening(spark.sparkContext)(group => new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit =
-        if (TestUtil.jobGroup(e.properties) == group) jobs.incrementAndGet()
-    })(body)
-    (out, jobs.get)
-  }
+  private def jobsOf[T](body: => T): (T, Int) = TestUtil.jobsOf(spark.sparkContext)(body)
 
   test("par=1 yields exactly one partition regardless of work") {
     assert(Par.parts(1000000, 1) === 1)
