@@ -54,43 +54,30 @@ object ConnCtx {
                            val hi: Array[Double], val qts: Array[QuadTree], val s0: Array[Array[Pt]],
                            val s1: Array[Array[Pt]]) extends Serializable
 
-  /** The context from core flags already known. Methods that build nothing
-    * per cell (BCP, Delaunay) need only counts and boxes, which the driver
-    * sets up without a job. */
+  /** The context from core flags already known, set up by the same pass. */
   def build(sc: SparkContext, bcIdx: Broadcast[CellIndex], bcFlags: Broadcast[Array[Boolean]],
-            method: GraphMethod, par: Int = 0): ConnCtx = {
-    def flagged: (Int, Array[Int]) => Int = {
+            method: GraphMethod, par: Int = 0): ConnCtx =
+    pass(sc, bcIdx, method, par) {
       val (i, fl) = (bcIdx.value, bcFlags.value)
       (c, out) => {
         var k = 0; var p = i.start(c)
         while (p < i.start(c + 1)) { if (fl(i.ids(p))) { out(k) = p; k += 1 }; p += 1 }
         k
       }
-    }
-    method match {
-      case QtGraph | ApproxGraph(_) | UsecGraph => pass(sc, bcIdx, method, par)(flagged)._2
-      case _ =>
-        val idx = bcIdx.value
-        assemble(idx, method, Array(part(idx, method, 0, idx.numCells, flagged)))._2
-    }
-  }
+    }._2
 
   /** The one per-cell pass of MarkCore and the context's set-up (paper Alg.
-    * 1–3: both are flat loops over cells): one [[Par.perCell]] job over task
-    * slices of the cells, each task opening `mark` once. `mark(c, out)`
-    * writes cell c's core positions, ascending, to the start of `out` and
-    * returns their number; the same task then sets up the cell's part of the
-    * context from them. Returns the core flag of every point id and the
-    * context. */
+    * 1–3: both are flat loops over cells): one [[Par.slices]] job over the
+    * cells, each task opening `mark` once. `mark(c, out)` writes cell c's
+    * core positions, ascending, to the start of `out` and returns their
+    * number; the same task then sets up the cell's part of the context from
+    * them. Returns the core flag of every point id and the context. */
   private[core] def pass(sc: SparkContext, bcIdx: Broadcast[CellIndex], method: GraphMethod, par: Int)(
       mark: => (Int, Array[Int]) => Int): (Array[Boolean], ConnCtx) = {
     val idx = bcIdx.value
     require(method != UsecGraph || idx.d == 2, "USEC cell graph is 2D-only")
-    val m = idx.numCells
-    val tasks = math.min(m, Par.parts(m, Par.threads(sc, par)))
-    assemble(idx, method, Par.perCell(sc, 0 until tasks, par) { t =>
-      Some(part(bcIdx.value, method, (m.toLong * t / tasks).toInt, (m.toLong * (t + 1) / tasks).toInt, mark))
-    })
+    assemble(idx, method, Par.slices(sc, idx.numCells, par)((from, until) =>
+      part(bcIdx.value, method, from, until, mark)))
   }
 
   /** Marks cells `[from, until)` with `mark` and sets up their core cells:

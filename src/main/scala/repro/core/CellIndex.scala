@@ -282,19 +282,16 @@ object CellIndex {
     * §5.1: enumerating the neighbor cells is exponential in d, the tree
     * finds only the non-empty ones), pruning and reporting by the box
     * distance itself, so it visits no box beyond `eps`. The queries are one
-    * [[Par.perCell]] pass over the broadcast tree and boxes, each task
-    * taking one range of the cells and returning their counts and lists as
-    * two flat arrays; on the driver they are the bottleneck when most cells
-    * hold one point. */
+    * [[Par.slices]] pass over the broadcast tree and boxes, each task
+    * returning its cells' counts and lists as two flat arrays; on the driver
+    * they are the bottleneck when most cells hold one point. */
   private[repro] def neighborLists(sc: SparkContext, lo: Array[Double], hi: Array[Double], d: Int,
                                    eps: Double, par: Int): (Array[Int], Array[Int]) = {
     val m = lo.length / d
-    val tasks = math.min(m, Par.parts(m, Par.threads(sc, par)))
     val lists = Par.sharing(sc) { share =>
       val bc = share((KDTree.overBoxes(lo, hi, d, Array.range(0, m)), lo, hi))
-      Par.perCell(sc, 0 until tasks, par) { t =>
+      Par.slices(sc, m, par) { (from, until) =>
         val (tree, bl, bh) = bc.value
-        val (from, until) = ((m.toLong * t / tasks).toInt, (m.toLong * (t + 1) / tasks).toInt)
         val counts = new Array[Int](until - from)
         val out = new mutable.ArrayBuilder.ofInt
         for (c <- from until until) {
@@ -304,7 +301,7 @@ object CellIndex {
           while (i < near.length) { if (near(i) != c) out.addOne(near(i)); i += 1 }
           counts(c - from) = near.length - 1 // the box itself is at distance 0
         }
-        Some((counts, out.result()))
+        (counts, out.result())
       }
     }
     (cat(lists)(_._1), cat(lists)(_._2))

@@ -1,6 +1,5 @@
 package repro.core
 
-import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 import org.apache.spark.SparkContext
 import org.apache.spark.broadcast.Broadcast
@@ -25,7 +24,8 @@ object ClusterBorder {
     val small = new mutable.ArrayBuilder.ofInt
     var c = 0
     while (c < idx.numCells) { if (idx.size(c) < minPts) small += c; c += 1 }
-    val assigned = Par.perCell(sc, ArraySeq.unsafeWrapArray(small.result()), par) {
+    val cells = small.result()
+    val blocks = Par.slices(sc, cells.length, par) { (from, until) =>
       // The offsets are lazy vals: read them once per task, not per test.
       val i = bcIdx.value
       val (start, nbrStart, nbrs, ids) = (i.start, i.nbrStart, i.nbrs, i.ids)
@@ -37,7 +37,10 @@ object ClusterBorder {
       // The clusters a point borders, distinct: at most one per cell of g
       // and its neighbors.
       val found = new Array[Int](1 + i.nbrCounts.foldLeft(0)(math.max))
-      g => Iterator.range(start(g), start(g + 1)).filter(p => !fl(ids(p))).flatMap { p =>
+      // Per border point: its id, its cluster count, and its clusters, sorted.
+      val (border, counts, clusters) = (new mutable.ArrayBuilder.ofInt, new mutable.ArrayBuilder.ofInt,
+        new mutable.ArrayBuilder.ofInt)
+      for (g <- cells.slice(from, until); p <- start(g) until start(g + 1) if !fl(ids(p))) {
         // Everything in the own cell is within ε: any core point in g puts p
         // in g's cluster without a distance check.
         var k = 0
@@ -60,19 +63,18 @@ object ClusterBorder {
           }
           n += 1
         }
-        // One array per border point: its id, then its cluster ids, sorted.
-        if (k == 0) Iterator.empty
-        else {
-          val a = new Array[Int](k + 1)
-          a(0) = ids(p)
-          System.arraycopy(found, 0, a, 1, k)
-          java.util.Arrays.sort(a, 1, k + 1)
-          Iterator.single(a)
+        if (k > 0) {
+          java.util.Arrays.sort(found, 0, k)
+          border += ids(p); counts += k; clusters.addAll(found, 0, k)
         }
       }
+      (border.result(), counts.result(), clusters.result())
     }
     val out = Array.fill(idx.n.toInt)(Array.emptyIntArray)
-    assigned.foreach(a => out(a(0)) = a.tail)
+    for ((border, counts, clusters) <- blocks) {
+      var off = 0
+      for (b <- border.indices) { out(border(b)) = clusters.slice(off, off + counts(b)); off += counts(b) }
+    }
     out
   }
 }

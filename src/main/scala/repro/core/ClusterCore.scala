@@ -21,12 +21,10 @@ final case class GraphStats(
   *
   * Connectivity *queries* are evaluated in parallel in Spark; the
   * union-find over the (small) cell graph lives on the driver. Core cells
-  * are sorted by core-point count, descending (the paper's SortBySize), and
-  * task t of T = [[Par.parts]](core cells, threads) keeps the t-th of T
-  * equal slices of that order for the whole run. The run is R rounds, each
-  * one [[Par.perCell]] job over the task ids: in round j each task walks
-  * the j-th of R equal parts of its slice, in order (the slices and their
-  * parts are the T·R equal pieces of the order). A pair is pruned
+  * are sorted by core-point count, descending (the paper's SortBySize). The
+  * run is R rounds, each one [[Par.slices]] job over that order, so each
+  * task keeps the same range of it for the whole run; in round j it walks
+  * the j-th of R equal parts of its range, in order. A pair is pruned
   * before evaluation when it is already in one component: the component as
   * of the start of the round, joined by every link found earlier in the
   * round by its task (each task keeps one union-find per round, the nearest
@@ -60,12 +58,7 @@ object ClusterCore {
         val order = new Array[Int](keys.length)
         c = 0
         while (c < keys.length) { order(c) = keys(c).toInt; c += 1 } // the low half: the id
-        // `order` cut into T·R equal pieces: task t keeps pieces t·R until
-        // (t + 1)·R, its slice, for the whole run, and runs piece t·R + j
-        // in round j; piece q starts at position at(q).
-        val tasks = Par.parts(order.length, Par.threads(sc, par))
         val rounds = if (order.isEmpty) 0 else if (bucketing) numBuckets else 1
-        def at(q: Int) = (order.length.toLong * q / (tasks * rounds)).toInt
         val uf = new UnionFind(m)
         var candidate = 0L; var run = 0L; var edges = 0L
         for (j <- 0 until rounds) {
@@ -74,18 +67,19 @@ object ClusterCore {
           // or as many and a smaller id), so a pair is considered exactly
           // once, in its owner's round. Each task keeps one union-find per
           // round over the snapshot's component ids, and the owners of its
-          // piece walk their neighbor lists in turn (paper Alg. 3 line 5 is
+          // part walk their neighbor lists in turn (paper Alg. 3 line 5 is
           // a plain `for`): a query is pruned when the two components — as
           // of the start of the round, joined by every link the task found
           // earlier in the round — are already connected. Tasks evaluate in
           // parallel.
-          val owned = Par.sharing(sc) { share =>
+          val blocks = Par.sharing(sc) { share =>
             val bcSnap = share(uf.roots())
-            Par.perCell(sc, 0 until tasks, par) {
+            Par.slices(sc, order.length, par) { (from, until) =>
               val (i, c, snap, local) = (bcIdx.value, bcCtx.value, bcSnap.value, new UnionFind(m))
-              t => order.slice(at(t * rounds + j), at(t * rounds + j + 1)).iterator.map { g =>
-                val hits = new scala.collection.mutable.ArrayBuilder.ofInt
-                var candidates = 0; var queries = 0
+              val links = new scala.collection.mutable.ArrayBuilder.ofInt // (owner, neighbor) pairs
+              var candidates = 0L; var queries = 0L
+              val len = (until - from).toLong
+              for (g <- order.slice(from + (len * j / rounds).toInt, from + (len * (j + 1) / rounds).toInt)) {
                 var k = i.nbrStart(g)
                 while (k < i.nbrStart(g + 1)) {
                   val h = i.nbrs(k)
@@ -95,21 +89,22 @@ object ClusterCore {
                       queries += 1
                       if (CellGraph.connected(i, c, method, g, h, bcFlags.value)) {
                         local.union(snap(g), snap(h))
-                        hits += h
+                        links.addOne(g).addOne(h)
                       }
                     }
                   }
                   k += 1
                 }
-                (g, hits.result(), candidates, queries)
               }
+              (links.result(), candidates, queries)
             }
           }
-          owned.foreach { case (g, hits, c, q) =>
+          blocks.foreach { case (links, c, q) =>
             candidate += c
             run += q
-            edges += hits.length
-            hits.foreach(uf.union(g, _))
+            edges += links.length / 2
+            var k = 0
+            while (k < links.length) { uf.union(links(k), links(k + 1)); k += 2 }
           }
         }
         (uf, GraphStats(m, order.length, candidate, run, edges))

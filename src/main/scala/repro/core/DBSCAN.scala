@@ -183,26 +183,18 @@ object Par {
     Array.concat(ArraySeq.unsafeWrapArray(out): _*)
   }
 
-  /** The parallel loop over cells of the neighbor search, the cell
-    * quadtrees, MarkCore (which sets up the ConnCtx in the same job),
-    * ClusterCore and ClusterBorder: runs the per-cell function on each
-    * element of `cells` as one [[collect]] job with
-    * [[parts]]`(cells.length, par)` partitions and returns what it emits, in
-    * input order. The elements are cell ids, except in the neighbor search,
-    * MarkCore and ClusterCore, whose elements are task slices (ids `0 until
-    * T`, one slice of the cells per task, which returns one flat block; in
-    * ClusterCore one job per round). Like every Spark job in `core/` and
-    * `baselines/`, it goes through `collect`, so Spark cleans one small
-    * closure per job instead of parsing its own `RDD` and `SparkContext`
-    * classes twice. It may emit any number of results per cell. `f` is
-    * evaluated once per task, in the task, so state a caller opens before
-    * it returns the per-cell function is per task and shared by that task's
-    * cells, in input order. No job runs for an empty cell list. */
-  private[core] def perCell[T: ClassTag](sc: SparkContext, cells: Seq[Int], par: Int)(
-      f: => Int => IterableOnce[T]): Array[T] =
-    if (cells.isEmpty) Array.empty[T]
-    else collect(sc.parallelize(cells, parts(cells.length, threads(sc, par)))) { it =>
-      val g = f; it.flatMap(g).toArray
+  /** The one parallel pass over cells (the paper's per-cell `parfor`s):
+    * cuts `[0, n)` into [[parts]]`(n, `[[threads]]`(sc, par))` equal ranges
+    * and runs `f(from, until)` once per range, one task each, in one
+    * [[collect]] job. Returns one block per task, in range order; no job
+    * runs when n = 0. */
+  private[core] def slices[T: ClassTag](sc: SparkContext, n: Int, par: Int)(f: (Int, Int) => T): Array[T] =
+    if (n == 0) Array.empty[T]
+    else {
+      val tasks = parts(n, threads(sc, par))
+      collect(sc.parallelize(0 until tasks, tasks))(_.map { t =>
+        f((n.toLong * t / tasks).toInt, (n.toLong * (t + 1) / tasks).toInt)
+      }.toArray)
     }
 }
 

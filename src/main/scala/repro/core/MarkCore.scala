@@ -14,20 +14,19 @@ import repro.geometry.QuadTree
   * reaches minPts. A neighbor cell whose box lies wholly within ε of the
   * point counts whole, and a cell that holds fewer than minPts points with
   * its neighbors together is skipped. The per-cell loop is one
-  * [[Par.perCell]] pass, which also sets up each core cell's part of the
+  * [[Par.slices]] pass, which also sets up each core cell's part of the
   * run's [[ConnCtx]].
   */
 object MarkCore {
 
   /** Build one exact quadtree per cell (over all its points), distributed. */
   def buildCellQuadTrees(sc: SparkContext, bcIdx: Broadcast[CellIndex],
-                         par: Int = 0): Array[QuadTree] = {
-    Par.perCell(sc, 0 until bcIdx.value.numCells, par) { c =>
+                         par: Int = 0): Array[QuadTree] =
+    Par.slices(sc, bcIdx.value.numCells, par) { (from, until) =>
       val idx = bcIdx.value
-      Some(QuadTree.over(idx.coords, idx.d, Array.range(idx.start(c), idx.start(c + 1)),
-        idx.qtLo(c), idx.cellSide))
-    }
-  }
+      Array.range(from, until).map(c =>
+        QuadTree.over(idx.coords, idx.d, Array.range(idx.start(c), idx.start(c + 1)), idx.qtLo(c), idx.cellSide))
+    }.flatten
 
   /** Returns the core flag for every point id in [0, n). */
   def run(sc: SparkContext, bcIdx: Broadcast[CellIndex], minPts: Int,

@@ -78,16 +78,17 @@ class ClusterCoreSpec extends SparkSpec {
   test("bucketing never runs more queries than the plain run, at any parallelism") {
     // The skewed data above. Each owner sits at the same place in the same
     // task with and without bucketing, and bucketing adds the links every
-    // task found in earlier rounds, so it can only prune more.
+    // task found in earlier rounds, so it can only prune more. At p = 5
+    // and 7 the tasks' ranges differ in length.
     val pts = TestUtil.blobPts(3000, 2, numBlobs = 1, sigma = 4.0, extent = 20.0,
       noiseFrac = 0.0, seed = 17L)
-    for (par <- 1 to 4) {
+    for (par <- Seq(1, 2, 3, 4, 5, 7)) {
       val plain = run(pts, 2, 3.0, 5, BcpGraph, bucketing = false, par = par).stats.graph
       val bucketed = run(pts, 2, 3.0, 5, BcpGraph, bucketing = true, par = par).stats.graph
       assert(bucketed.candidatePairs === plain.candidatePairs, s"par=$par")
       assert(bucketed.queriesRun <= plain.queriesRun,
         s"par=$par: bucketed ${bucketed.queriesRun} vs plain ${plain.queriesRun}")
-      if (par >= 2) assert(bucketed.queriesRun < plain.queriesRun,
+      if (par >= 2 && par <= 4) assert(bucketed.queriesRun < plain.queriesRun,
         s"par=$par: bucketing should prune: ${bucketed.queriesRun} vs ${plain.queriesRun}")
     }
   }

@@ -27,39 +27,36 @@ class ParSpec extends SparkSpec {
     assert(Par.parts(0, 16) === 1)
   }
 
-  test("perCell returns every emitted result in input order") {
-    val cells = new scala.util.Random(7).shuffle((0 until 500).toVector)
-    val got = Par.perCell(spark.sparkContext, cells, par = 3)(c => Iterator(c, -c - 1))
-    assert(got.toSeq === cells.flatMap(c => Seq(c, -c - 1)))
-    assert(Par.perCell(spark.sparkContext, cells, par = 0)(c => Some(c * 2)).toSeq ===
-      cells.map(_ * 2))
+  test("slices returns one block per range, in range order") {
+    // Task 0 finishes last.
+    val got = Par.slices(spark.sparkContext, 500, par = 3) { (from, until) =>
+      if (from == 0) Thread.sleep(100)
+      (from until until).toArray
+    }
+    assert(got.length === 3)
+    assert(got.flatten.toSeq === (0 until 500))
   }
 
-  test("perCell runs Par.parts(cells, par) partitions") {
+  test("slices cuts [0, n) into Par.parts(n, p) equal ranges, one task each") {
     val sc = spark.sparkContext
-    for ((n, par) <- Seq((500, 1), (500, 2), (500, 3), (7, 5), (500, 0))) {
-      val (ids, jobs) = jobsOf(Par.perCell(sc, 0 until n, par)(_ => Some(TaskContext.getPartitionId())))
+    for ((n, par) <- Seq((500, 1), (500, 2), (500, 3), (7, 5), (3, 4), (500, 0))) {
+      val got = Par.slices(sc, n, par)((from, until) => (from, until, TaskContext.getPartitionId()))
       val p = if (par > 0) par else sc.defaultParallelism
-      assert(ids.distinct.length === Par.parts(n, p), s"n=$n par=$par")
-      assert(jobs === 1, s"n=$n par=$par: jobs")
+      assert(got.length === Par.parts(n, p), s"n=$n par=$par")
+      assert(got.map(_._3).toSeq === got.indices, s"n=$n par=$par: tasks")
+      assert(got.head._1 === 0 && got.last._2 === n, s"n=$n par=$par: bounds")
+      assert(got.indices.tail.forall(t => got(t)._1 == got(t - 1)._2), s"n=$n par=$par: gaps")
+      val lengths = got.map(r => r._2 - r._1)
+      assert(lengths.max - lengths.min <= 1, s"n=$n par=$par: lengths ${lengths.mkString(", ")}")
     }
   }
 
-  test("perCell builds its function once per task") {
+  test("slices is one job, and n = 0 runs no job") {
     val sc = spark.sparkContext
-    val got = Par.perCell(sc, 0 until 500, par = 3) {
-      // Runs in the task, before any of its cells.
-      val opened = Option(TaskContext.get()).map(_.partitionId())
-      var seen = 0
-      c => { seen += 1; Some((opened, TaskContext.getPartitionId(), seen, c)) }
-    }
-    assert(got.map(_._4).toSeq === (0 until 500))
-    val tasks = got.groupBy(_._2)
-    assert(tasks.size === Par.parts(500, 3))
-    for ((part, rows) <- tasks) {
-      assert(rows.forall(_._1.contains(part)), s"partition $part: block ran outside its task")
-      assert(rows.map(_._3).toSeq === (1 to rows.length), s"partition $part: counter")
-    }
+    assert(jobsOf(Par.slices(sc, 500, par = 3)((from, until) => until - from))._2 === 1)
+    val (empty, jobs) = jobsOf(Par.slices(sc, 0, par = 4)((from, until) => until - from))
+    assert(empty.isEmpty)
+    assert(jobs === 0)
   }
 
   test("coalesce merges down to Par.parts(partitions, par) and leaves smaller RDDs alone") {
@@ -72,10 +69,6 @@ class ParSpec extends SparkSpec {
     }
     assert(Par.coalesce(rdd, 8) eq rdd)
     assert(Par.coalesce(rdd, 16) eq rdd)
-  }
-
-  test("perCell over no cells returns an empty array") {
-    assert(Par.perCell(spark.sparkContext, Seq.empty[Int], par = 4)(c => Some(c)).isEmpty)
   }
 
   test("collect returns each partition's results in partition order, in one job") {
@@ -99,12 +92,13 @@ class ParSpec extends SparkSpec {
     assert(jobs === 1)
   }
 
-  test("no code under src/main/scala/repro/core sizes an RDD outside object Par") {
-    // Par decides every stage's task count; a parallelize, coalesce or
-    // repartition elsewhere in core/ would bypass its policy.
+  /** The code lines, with their places, of the files under
+    * src/main/scala/repro/core outside `object Par`. */
+  private def coreOutsidePar: Seq[(String, String)] = {
     val core = Paths.get("src", "main", "scala", "repro", "core")
     assert(Files.isDirectory(core), s"no $core under ${sys.props("user.dir")}")
     val files = Files.walk(core).iterator.asScala.filter(_.toString.endsWith(".scala")).toSeq
+    assert(files.exists(f => Files.readAllLines(f).asScala.exists(_.startsWith("object Par "))), ": no object Par")
     def outsidePar(f: Path) = {
       val ls = Files.readAllLines(f).asScala.toVector
       // `object Par` runs from its header to the next closing brace in column 0.
@@ -115,11 +109,23 @@ class ParSpec extends SparkSpec {
           (s"$f:${i + 1}", l.split("//")(0))
       }
     }
+    files.flatMap(outsidePar)
+  }
+
+  test("no code under src/main/scala/repro/core sizes an RDD outside object Par") {
+    // Par decides every stage's task count; a parallelize, coalesce or
+    // repartition elsewhere in core/ would bypass its policy.
     // `Par.coalesce(` is the policy's own entry point.
     val call = """parallelize\(|(?<!\bPar)\.coalesce\(|\.repartition\(""".r
-    val sized = files.flatMap(outsidePar).filter { case (_, l) => call.findFirstIn(l).isDefined }
+    val sized = coreOutsidePar.filter { case (_, l) => call.findFirstIn(l).isDefined }
     assert(sized.isEmpty, s": RDD sized outside Par at ${sized.map(_._1).mkString(", ")}")
-    assert(files.exists(f => Files.readAllLines(f).asScala.exists(_.startsWith("object Par "))), ": no object Par")
+  }
+
+  test("no code under src/main/scala/repro/core cuts task ranges outside object Par") {
+    // `Par.slices` hands every per-cell task its range of the cells.
+    val cut = """\*\s*\(?t\b[^/]*/\s*tasks""".r
+    val cuts = coreOutsidePar.filter { case (_, l) => cut.findFirstIn(l).isDefined }
+    assert(cuts.isEmpty, s": task range cut outside Par at ${cuts.map(_._1).mkString(", ")}")
   }
 
   test("no code under src/main calls .collect() or runJob outside Par.collect") {
