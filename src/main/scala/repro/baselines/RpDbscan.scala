@@ -63,9 +63,8 @@ object RpDbscan {
     // Full cell boxes, d values per cell, and the neighbor cells of each.
     val lo = keys.flatMap(_.map(_ * side))
     val hi = keys.flatMap(_.map(k => (k + 1) * side))
-    val (nbrCounts, nbrs) = CellIndex.neighborLists(sc, lo, hi, d, eps, par = 0)
-    val nbrStart = nbrCounts.scanLeft(0)(_ + _)
-    def nbrsOf(c: Int): Range = nbrStart(c) until nbrStart(c + 1)
+    val nb = CellIndex.neighborLists(sc, lo, hi, d, eps, par = 0)
+    def nbrsOf(c: Int): Range = nb.start(c) until nb.start(c + 1)
 
     // (4a) core cells: exact for dense cells, neighbor-count approximation
     // for sparse ones (the approximation RP-DBSCAN's two-level cells admit).
@@ -74,7 +73,7 @@ object RpDbscan {
     while (i < m) {
       if (infos(i).count >= minPts) isCoreCell(i) = true
       else {
-        val total = infos(i).count + nbrsOf(i).map(k => infos(nbrs(k)).count).sum
+        val total = infos(i).count + nbrsOf(i).map(k => infos(nb.nbrs(k)).count).sum
         isCoreCell(i) = total >= minPts
       }
       i += 1
@@ -88,7 +87,7 @@ object RpDbscan {
     while (i < m) {
       if (isCoreCell(i)) {
         nbrsOf(i).foreach { k =>
-          val j = nbrs(k)
+          val j = nb.nbrs(k)
           if (isCoreCell(j) && j < i && uf.find(i) != uf.find(j)) {
             val touching = BBox.sqDistBetween(lo, hi, i * d, lo, hi, j * d, d) == 0.0
             val sampleHit = infos(i).samples.exists(a =>
@@ -101,7 +100,7 @@ object RpDbscan {
     }
     val (cellCluster, numClusters) = uf.labels(isCoreCell(_))
     val cellNbrClusters = Array.tabulate(m) { c =>
-      (nbrsOf(c).map(nbrs) :+ c).filter(isCoreCell).map(j => cellCluster(j)).distinct.sorted.toArray
+      (nbrsOf(c).map(nb.nbrs) :+ c).filter(isCoreCell).map(j => cellCluster(j)).distinct.sorted.toArray
     }
 
     // (5) final labeling pass over all points.

@@ -4,7 +4,7 @@ import scala.collection.mutable
 import scala.reflect.ClassTag
 import org.apache.spark.SparkContext
 import org.apache.spark.broadcast.Broadcast
-import repro.geometry.QuadTree
+import repro.geometry.{KDTree, QuadTree}
 
 /** Which cell-construction method to use (paper §4.1 / §4.2). */
 sealed trait CellMethod extends Serializable
@@ -47,19 +47,20 @@ final class ConnCtx(
 object ConnCtx {
 
   /** One task's share of [[pass]] over its cells `[from, until)`, flat: the
-    * ids of their core points, each cell's core count, and per core cell in
-    * order its core box (d values each of `lo` and `hi`) and its quadtree or
-    * sorted arrays, when `method` queries them. */
-  private final class Part(val coreIds: Array[Int], val counts: Array[Int], val lo: Array[Double],
-                           val hi: Array[Double], val qts: Array[QuadTree], val s0: Array[Array[Pt]],
-                           val s1: Array[Array[Pt]]) extends Serializable
+    * cells' neighbor lists, the ids of their core points, each cell's core
+    * count, and per core cell in order its core box (d values each of `lo`
+    * and `hi`) and its quadtree or sorted arrays, when `method` queries
+    * them. */
+  private final class Part(val lists: Neighbors, val coreIds: Array[Int], val counts: Array[Int],
+                           val lo: Array[Double], val hi: Array[Double], val qts: Array[QuadTree],
+                           val s0: Array[Array[Pt]], val s1: Array[Array[Pt]]) extends Serializable
 
   /** The context from core flags already known, set up by the same pass. */
   def build(sc: SparkContext, bcIdx: Broadcast[CellIndex], bcFlags: Broadcast[Array[Boolean]],
             method: GraphMethod, par: Int = 0): ConnCtx =
     pass(sc, bcIdx, method, par) {
       val (i, fl) = (bcIdx.value, bcFlags.value)
-      (c, out) => {
+      (c, _, _, _, out) => {
         var k = 0; var p = i.start(c)
         while (p < i.start(c + 1)) { if (fl(i.ids(p))) { out(k) = p; k += 1 }; p += 1 }
         k
@@ -68,24 +69,35 @@ object ConnCtx {
 
   /** The one per-cell pass of MarkCore and the context's set-up (paper Alg.
     * 1–3: both are flat loops over cells): one [[Par.slices]] job over the
-    * cells, each task opening `mark` once. `mark(c, out)` writes cell c's
-    * core positions, ascending, to the start of `out` and returns their
-    * number; the same task then sets up the cell's part of the context from
-    * them. Returns the core flag of every point id and the context. */
+    * cells, each task first taking its cells' neighbor lists and then
+    * opening `mark` once. An index without lists (a run's) gets the k-d tree
+    * over its cell boxes, built here and broadcast for this job alone, and
+    * each task looks its cells up in it (`CellIndex.listsIn`); an index
+    * with lists (`grid`'s, `box2d`'s) gives each task a slice of them.
+    * `mark(c, nbrs, from, until, out)`, whose `nbrs[from, until)` is cell
+    * c's neighbor list, writes c's core positions, ascending, to the start
+    * of `out` and returns their number; the same task then sets up the
+    * cell's part of the context from them. Returns the core flag of every
+    * point id, the context and every cell's neighbor lists. */
   private[core] def pass(sc: SparkContext, bcIdx: Broadcast[CellIndex], method: GraphMethod, par: Int)(
-      mark: => (Int, Array[Int]) => Int): (Array[Boolean], ConnCtx) = {
+      mark: => (Int, Array[Int], Int, Int, Array[Int]) => Int): (Array[Boolean], ConnCtx, Neighbors) = {
     val idx = bcIdx.value
     require(method != UsecGraph || idx.d == 2, "USEC cell graph is 2D-only")
-    assemble(idx, method, Par.slices(sc, idx.numCells, par)((from, until) =>
-      part(bcIdx.value, method, from, until, mark)))
+    Par.sharing(sc) { share =>
+      val bcTree = Option.when(idx.lists == null)(share(CellIndex.boxTree(idx.cellLo, idx.cellHi, idx.d)))
+      assemble(idx, method, Par.slices(sc, idx.numCells, par)((from, until) =>
+        part(bcIdx.value, bcTree.map(_.value), method, from, until, mark)))
+    }
   }
 
   /** Marks cells `[from, until)` with `mark` and sets up their core cells:
     * the core box always; the quadtree over the core points for the
     * quadtree graphs (ρ-approximate for [[ApproxGraph]]); the core points
     * sorted by each axis for USEC. */
-  private def part(idx: CellIndex, method: GraphMethod, from: Int, until: Int,
-                   mark: (Int, Array[Int]) => Int): Part = {
+  private def part(idx: CellIndex, tree: Option[KDTree], method: GraphMethod, from: Int, until: Int,
+                   mark: (Int, Array[Int], Int, Int, Array[Int]) => Int): Part = {
+    val nb = tree.fold(idx.lists.slice(from, until))(
+      CellIndex.listsIn(_, idx.cellLo, idx.cellHi, idx.d, idx.eps, from, until))
     val d = idx.d
     val minSide = method match {
       case ApproxGraph(rho) => rho * idx.cellSide // ρ·ε/√d
@@ -99,7 +111,7 @@ object ConnCtx {
       mutable.ArrayBuilder.make[Array[Pt]])
     var c = from
     while (c < until) {
-      val k = mark(c, cps)
+      val k = mark(c, nb.nbrs, nb.start(c - from), nb.start(c + 1 - from), cps)
       counts(c - from) = k
       if (k > 0) {
         var i = 0
@@ -117,12 +129,13 @@ object ConnCtx {
       }
       c += 1
     }
-    new Part(ids.result(), counts, lo.result(), hi.result(), qts.result(), s0.result(), s1.result())
+    new Part(nb, ids.result(), counts, lo.result(), hi.result(), qts.result(), s0.result(), s1.result())
   }
 
-  /** The flags and the context from the parts of consecutive cell ranges,
-    * in cell order. */
-  private def assemble(idx: CellIndex, method: GraphMethod, parts: Array[Part]): (Array[Boolean], ConnCtx) = {
+  /** The flags, the context and the neighbor lists from the parts of
+    * consecutive cell ranges, in cell order. */
+  private def assemble(idx: CellIndex, method: GraphMethod,
+                       parts: Array[Part]): (Array[Boolean], ConnCtx, Neighbors) = {
     val flags = new Array[Boolean](idx.n.toInt)
     parts.foreach(_.coreIds.foreach(flags(_) = true))
     val counts = CellIndex.cat(parts)(_.counts)
@@ -143,7 +156,8 @@ object ConnCtx {
       case UsecGraph => (byCell(CellIndex.cat(parts)(_.s0)), byCell(CellIndex.cat(parts)(_.s1)))
       case _         => (null, null)
     }
-    (flags, new ConnCtx(counts, boxes(CellIndex.cat(parts)(_.lo)), boxes(CellIndex.cat(parts)(_.hi)), qts, s0, s1))
+    (flags, new ConnCtx(counts, boxes(CellIndex.cat(parts)(_.lo)), boxes(CellIndex.cat(parts)(_.hi)), qts, s0, s1),
+      new Neighbors(CellIndex.cat(parts)(_.lists.counts), CellIndex.cat(parts)(_.lists.nbrs)))
   }
 }
 

@@ -12,13 +12,18 @@ import repro.geometry.KDTree
   * Laid out as the paper's semisort leaves it: the points permuted into cell
   * order, so cell c owns positions `[start(c), start(c+1))` of `ids` and of
   * `coords` (d values per point). Per cell, d values each of `cellLo` and
-  * `cellHi` hold its tight bounding box, and `nbrs[nbrStart(c),
-  * nbrStart(c+1))` lists its *neighboring* cells — cells whose boxes are
-  * within ε, the only ones that can contain points within ε of this cell's
-  * points. The cell keys only group the points and are not kept. The index
-  * stores per-cell counts and derives the two offset arrays once per JVM:
-  * counts compress to a third of the size of offsets under Spark's broadcast
-  * codec.
+  * `cellHi` hold its tight bounding box. The cell keys only group the points
+  * and are not kept. The index stores per-cell counts and derives the offsets
+  * once per JVM: counts compress to a third of the size of offsets under
+  * Spark's broadcast codec.
+  *
+  * A cell's *neighboring* cells are the cells whose boxes lie within ε of
+  * its box, the only ones that can hold points within ε of its points; a
+  * k-d tree over the cell boxes finds them (paper §5.1, `listsIn`). The
+  * index a run broadcasts holds no `lists` (null): MarkCore's job builds
+  * the tree, broadcasts it for that job alone, and its tasks look up their
+  * own cells' lists (see `ConnCtx.pass`). `grid` and `box2d` find the lists
+  * in a job of their own and return an index that holds them.
   *
   * Cells are disjoint with per-dimension extent ≤ ε/√d, so all points inside
   * one cell are within ε of each other — the invariant both MarkCore's
@@ -31,12 +36,11 @@ import repro.geometry.KDTree
   * ints each) in an open-addressing [[KeyTable]], hash them to r reducers
   * and send each reducer one flat block; reducers group their blocks into
   * cells the same way and bound the cells' boxes; the driver concatenates
-  * the r results (see `CellIndex.build`), and one k-d tree over the cell
-  * boxes finds the neighbor lists (see `neighborLists`). Cells come in the
-  * order of their reducer, and within a reducer in the order first seen.
-  * The index holds only scalars and primitive arrays, so Java serialization
-  * is already a compact broadcast format. The per-cell accessors slice on
-  * every call; hot loops read the flat arrays.
+  * the r results (see `CellIndex.build`). Cells come in the order of their
+  * reducer, and within a reducer in the order first seen. The index holds
+  * only scalars and primitive arrays, so Java serialization is already a
+  * compact broadcast format. The per-cell accessors slice on every call;
+  * hot loops read the flat arrays.
   */
 final class CellIndex(
     val eps: Double,
@@ -47,13 +51,11 @@ final class CellIndex(
     val coords: Array[Double],
     val cellLo: Array[Double],
     val cellHi: Array[Double],
-    val nbrCounts: Array[Int],
-    val nbrs: Array[Int],
+    val lists: Neighbors,
 ) extends Serializable {
 
-  /** Offsets (m + 1 of each) into `ids`/`coords` and into `nbrs`. */
+  /** Offsets (m + 1) into `ids`/`coords`. */
   @transient lazy val start: Array[Int] = cellSizes.scanLeft(0)(_ + _)
-  @transient lazy val nbrStart: Array[Int] = nbrCounts.scanLeft(0)(_ + _)
 
   def n: Long = ids.length
   def numCells: Int = cellSizes.length
@@ -65,9 +67,8 @@ final class CellIndex(
   /** Root corner for the cell's quadtree (hypercube of side `cellSide`). */
   def qtLo(c: Int): Array[Double] = tightLo(c)
 
-  /** Every cell's neighbor list, sliced on access. */
-  def neighbors: collection.IndexedSeqView[Array[Int]] =
-    (0 until numCells).view.map(c => nbrs.slice(nbrStart(c), nbrStart(c + 1)))
+  /** Every cell's neighbor list, sliced on access; needs the `lists`. */
+  def neighbors: collection.IndexedSeqView[Array[Int]] = (0 until numCells).view.map(lists(_))
 
   /** Cell c's points as fresh `Pt`s, for the `Pt`-based per-cell structures. */
   def pts(c: Int): Array[Pt] =
@@ -80,6 +81,25 @@ final class CellIndex(
     * hot-path bbox prefilter in MarkCore / ClusterBorder. */
   def minSqDistToCell(c: Int, xs: Array[Double], off: Int): Double =
     BBox.minSqDistTo(cellLo, cellHi, c * d, d, xs, off)
+}
+
+/** Every cell's neighboring cells as one CSR pair: each cell's neighbor
+  * count, and the sorted lists one after another. The offsets are derived
+  * once per JVM, like the index's; `maxCount`, the longest list, is computed
+  * once where the lists are made and travels with them. */
+final class Neighbors(val counts: Array[Int], val nbrs: Array[Int]) extends Serializable {
+  val maxCount: Int = counts.foldLeft(0)(math.max)
+
+  /** Offsets (m + 1) into `nbrs`. */
+  @transient lazy val start: Array[Int] = counts.scanLeft(0)(_ + _)
+
+  /** Cell c's list, sliced. */
+  def apply(c: Int): Array[Int] = nbrs.slice(start(c), start(c + 1))
+
+  /** The lists of cells `[from, until)`, cell i of the result being cell
+    * `from + i`. */
+  def slice(from: Int, until: Int): Neighbors =
+    new Neighbors(counts.slice(from, until), nbrs.slice(start(from), start(until)))
 }
 
 object CellIndex {
@@ -107,45 +127,60 @@ object CellIndex {
     }
   }
 
-  /** Grid-based construction (paper §4.1, used for all d). Every stage runs
-    * at most `Par.parts(·, par)` tasks, like the later phases. */
-  def grid(points: RDD[Pt], eps: Double, d: Int, par: Int = 0): CellIndex = {
-    val side = sideFor(eps, d)
-    build(Par.coalesce(points, par), eps, d, par)((p, k, off) => gridKey(p.x, side, k, off))
-  }
+  /** Grid-based construction (paper §4.1, used for all d), with each cell's
+    * neighbor lists. Every stage runs at most `Par.parts(·, par)` tasks,
+    * like the later phases. */
+  def grid(points: RDD[Pt], eps: Double, d: Int, par: Int = 0): CellIndex =
+    withLists(cells(points, eps, d, GridCells, par), points.sparkContext, par)
 
-  /** Box-based construction (paper §4.2, 2D only): x-strips of width ≤ ε/√2,
-    * then y-boxes of height ≤ ε/√2 inside each strip. Strip/box boundaries
-    * are the same ones the paper's pointer-jumping computes: a new strip
-    * starts at the first point more than ε/√2 past the current strip start.
-    * Every stage runs at most `Par.parts(·, par)` tasks, like the later
-    * phases. */
-  def box2d(points: RDD[Pt], eps: Double, par: Int = 0): CellIndex = {
-    val side = sideFor(eps, 2)
+  /** Box-based construction (paper §4.2, 2D only), with each cell's neighbor
+    * lists. Every stage runs at most `Par.parts(·, par)` tasks, like the
+    * later phases. */
+  def box2d(points: RDD[Pt], eps: Double, par: Int = 0): CellIndex =
+    withLists(cells(points, eps, 2, BoxCells, par), points.sparkContext, par)
+
+  /** The cells of `method`, without neighbor lists: the index a run
+    * broadcasts, whose MarkCore job finds the lists. Grid cells are the
+    * points' `gridKey`s. Box cells are x-strips of width ≤ ε/√2, then
+    * y-boxes of height ≤ ε/√2 inside each strip, with the boundaries the
+    * paper's pointer-jumping computes: a new strip starts at the first point
+    * more than ε/√2 past the current strip start. Every stage runs at most
+    * `Par.parts(·, par)` tasks. */
+  private[core] def cells(points: RDD[Pt], eps: Double, d: Int, method: CellMethod, par: Int): CellIndex = {
+    val side = sideFor(eps, d)
     val pts = Par.coalesce(points, par)
-    // Read twice: for the boundaries, then to group.
-    Par.persisting(pts) {
-      // Strip and per-strip y boundaries from the sorted coordinates (a driver
-      // scan over primitive arrays — the O(n) sequential dependence the paper
-      // removes with pointer jumping; at single-node scale it is negligible).
-      val xy = Par.collect(pts)(_.flatMap(p => checked(p, 2).x).toArray)
-      val n = xy.length / 2
-      val xs = Array.tabulate(n)(i => xy(2 * i))
-      java.util.Arrays.sort(xs)
-      val strips = boundaries(xs, side)
-      val ys = Array.fill(strips.length)(new mutable.ArrayBuilder.ofDouble)
-      for (i <- 0 until n) ys(lastLeq(strips, xy(2 * i))) += xy(2 * i + 1)
-      val yBounds = ys.map { b => val a = b.result(); java.util.Arrays.sort(a); boundaries(a, side) }
-      Par.sharing(pts.sparkContext) { share =>
-        val bc = share((strips, yBounds))
-        build(pts, eps, 2, par) { (p, k, off) =>
-          val (st, yb) = bc.value
-          k(off) = lastLeq(st, p.x(0))
-          k(off + 1) = lastLeq(yb(k(off)), p.x(1))
+    method match {
+      case GridCells => build(pts, eps, d)((p, k, off) => gridKey(p.x, side, k, off))
+      // Read twice: for the boundaries, then to group.
+      case BoxCells => Par.persisting(pts) {
+        // Strip and per-strip y boundaries from the sorted coordinates (a
+        // driver scan over primitive arrays — the O(n) sequential dependence
+        // the paper removes with pointer jumping; at single-node scale it is
+        // negligible).
+        val xy = Par.collect(pts)(_.flatMap(p => checked(p, 2).x).toArray)
+        val n = xy.length / 2
+        val xs = Array.tabulate(n)(i => xy(2 * i))
+        java.util.Arrays.sort(xs)
+        val strips = boundaries(xs, side)
+        val ys = Array.fill(strips.length)(new mutable.ArrayBuilder.ofDouble)
+        for (i <- 0 until n) ys(lastLeq(strips, xy(2 * i))) += xy(2 * i + 1)
+        val yBounds = ys.map { b => val a = b.result(); java.util.Arrays.sort(a); boundaries(a, side) }
+        Par.sharing(pts.sparkContext) { share =>
+          val bc = share((strips, yBounds))
+          build(pts, eps, 2) { (p, k, off) =>
+            val (st, yb) = bc.value
+            k(off) = lastLeq(st, p.x(0))
+            k(off + 1) = lastLeq(yb(k(off)), p.x(1))
+          }
         }
       }
     }
   }
+
+  /** `idx` with its neighbor lists, found by `neighborLists`. */
+  private def withLists(idx: CellIndex, sc: SparkContext, par: Int): CellIndex =
+    new CellIndex(idx.eps, idx.cellSide, idx.d, idx.cellSizes, idx.ids, idx.coords, idx.cellLo, idx.cellHi,
+      neighborLists(sc, idx.cellLo, idx.cellHi, idx.d, idx.eps, par))
 
   /** `p`, once it has exactly `d` finite coordinates and, with `intId`, an
     * Int id. Shared by the baselines. */
@@ -172,9 +207,8 @@ object CellIndex {
     * numbers its pieces' keys the same way, in map order, so the order of
     * cells (first seen first) and of points is deterministic, and bounds its
     * cells' boxes. Both sides place the points by one counting [[scatter]].
-    * The driver concatenates the r results, then finds each cell's neighbors
-    * with `neighborLists`. */
-  private def build(points: RDD[Pt], eps: Double, d: Int, par: Int)(
+    * The driver concatenates the r results. */
+  private def build(points: RDD[Pt], eps: Double, d: Int)(
       key: (Pt, Array[Int], Int) => Unit): CellIndex = {
     val r = points.getNumPartitions
     val parts = Par.collect(points
@@ -183,8 +217,7 @@ object CellIndex {
     val ids = cat(parts)(_.ids)
     requireDense(ids.length)(ids(_))
     val (lo, hi) = (cat(parts)(_.lo), cat(parts)(_.hi))
-    val (nbrCounts, nbrs) = neighborLists(points.sparkContext, lo, hi, d, eps, par)
-    new CellIndex(eps, sideFor(eps, d), d, cat(parts)(_.sizes), ids, cat(parts)(_.coords), lo, hi, nbrCounts, nbrs)
+    new CellIndex(eps, sideFor(eps, d), d, cat(parts)(_.sizes), ids, cat(parts)(_.coords), lo, hi, null)
   }
 
   /** `f` of each of `xs`, concatenated. */
@@ -276,35 +309,48 @@ object CellIndex {
   }
 
   /** For each of the m boxes that are the `d` values at offset c·d of `lo`
-    * and `hi`, the sorted ids of the other boxes within `eps` of it — its
-    * neighboring cells — as one CSR pair: each box's neighbor count, and the
-    * lists one after another. A k-d tree over the boxes finds them (paper
-    * §5.1: enumerating the neighbor cells is exponential in d, the tree
-    * finds only the non-empty ones), pruning and reporting by the box
-    * distance itself, so it visits no box beyond `eps`. The queries are one
+    * and `hi`, its neighboring cells as `listsIn` finds them, over the k-d
+    * tree over the boxes that this builds on the driver. The queries are one
     * [[Par.slices]] pass over the broadcast tree and boxes, each task
     * returning its cells' counts and lists as two flat arrays; on the driver
     * they are the bottleneck when most cells hold one point. */
   private[repro] def neighborLists(sc: SparkContext, lo: Array[Double], hi: Array[Double], d: Int,
-                                   eps: Double, par: Int): (Array[Int], Array[Int]) = {
-    val m = lo.length / d
+                                   eps: Double, par: Int): Neighbors = {
     val lists = Par.sharing(sc) { share =>
-      val bc = share((KDTree.overBoxes(lo, hi, d, Array.range(0, m)), lo, hi))
-      Par.slices(sc, m, par) { (from, until) =>
+      val bc = share((boxTree(lo, hi, d), lo, hi))
+      Par.slices(sc, lo.length / d, par) { (from, until) =>
         val (tree, bl, bh) = bc.value
-        val counts = new Array[Int](until - from)
-        val out = new mutable.ArrayBuilder.ofInt
-        for (c <- from until until) {
-          val near = tree.withinBox(bl, bh, c * d, eps)
-          java.util.Arrays.sort(near)
-          var i = 0
-          while (i < near.length) { if (near(i) != c) out.addOne(near(i)); i += 1 }
-          counts(c - from) = near.length - 1 // the box itself is at distance 0
-        }
-        (counts, out.result())
+        listsIn(tree, bl, bh, d, eps, from, until)
       }
     }
-    (cat(lists)(_._1), cat(lists)(_._2))
+    new Neighbors(cat(lists)(_.counts), cat(lists)(_.nbrs))
+  }
+
+  /** The k-d tree over the m boxes that are the `d` values at offset c·d of
+    * `lo` and `hi`, box c having id c. */
+  private[core] def boxTree(lo: Array[Double], hi: Array[Double], d: Int): KDTree =
+    KDTree.overBoxes(lo, hi, d, Array.range(0, lo.length / d))
+
+  /** For boxes `[from, until)` of the boxes `tree` holds (the `d` values at
+    * offset c·d of `lo` and `hi` for box c, id c), the sorted ids of the
+    * other boxes within `eps` of each, its neighboring cells. The tree (paper
+    * §5.1: enumerating the neighbor cells is exponential in d, the tree
+    * finds only the non-empty ones) prunes and reports by the box distance
+    * itself, so it visits no box beyond `eps`. Returns them as
+    * [[Neighbors]] whose cell i is box `from + i`. The one neighbor query:
+    * `neighborLists` and MarkCore's job both run it. */
+  private[core] def listsIn(tree: KDTree, lo: Array[Double], hi: Array[Double], d: Int, eps: Double,
+                            from: Int, until: Int): Neighbors = {
+    val counts = new Array[Int](until - from)
+    val out = new mutable.ArrayBuilder.ofInt
+    for (c <- from until until) {
+      val near = tree.withinBox(lo, hi, c * d, eps)
+      java.util.Arrays.sort(near)
+      var i = 0
+      while (i < near.length) { if (near(i) != c) out.addOne(near(i)); i += 1 }
+      counts(c - from) = near.length - 1 // the box itself is at distance 0
+    }
+    new Neighbors(counts, out.result())
   }
 
   /** Every per-point array is indexed by id, so the ids `idAt(0 until n)`

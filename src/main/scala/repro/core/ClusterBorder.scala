@@ -16,10 +16,18 @@ import org.apache.spark.broadcast.Broadcast
   */
 object ClusterBorder {
 
-  /** Returns, for each non-core point id, the sorted component ids it borders
-    * (empty array elsewhere — core points and noise). */
+  /** [[run]] for an index that holds its neighbor lists (`CellIndex.grid`,
+    * `box2d`): broadcasts them for the call. */
   def run(sc: SparkContext, bcIdx: Broadcast[CellIndex], bcFlags: Broadcast[Array[Boolean]],
-          bcComp: Broadcast[Array[Int]], minPts: Int, par: Int = 0): Array[Array[Int]] = {
+          bcComp: Broadcast[Array[Int]], minPts: Int, par: Int = 0): Array[Array[Int]] =
+    Par.sharing(sc)(share => run(sc, bcIdx, share(bcIdx.value.lists), bcFlags, bcComp, minPts, par))
+
+  /** Returns, for each non-core point id, the sorted component ids it borders
+    * (empty array elsewhere — core points and noise), the cells' neighbor
+    * lists read from `bcNbrs`. */
+  def run(sc: SparkContext, bcIdx: Broadcast[CellIndex], bcNbrs: Broadcast[Neighbors],
+          bcFlags: Broadcast[Array[Boolean]], bcComp: Broadcast[Array[Int]], minPts: Int,
+          par: Int): Array[Array[Int]] = {
     val idx = bcIdx.value
     val small = new mutable.ArrayBuilder.ofInt
     var c = 0
@@ -27,16 +35,13 @@ object ClusterBorder {
     val cells = small.result()
     val blocks = Par.slices(sc, cells.length, par) { (from, until) =>
       // The offsets are lazy vals: read them once per task, not per test.
-      val i = bcIdx.value
-      val (start, nbrStart, nbrs, ids) = (i.start, i.nbrStart, i.nbrs, i.ids)
-      val fl = bcFlags.value
-      val comp = bcComp.value
-      val eps = i.eps
+      val (i, nb, fl, comp) = (bcIdx.value, bcNbrs.value, bcFlags.value, bcComp.value)
+      val (start, nbrStart, nbrs, ids) = (i.start, nb.start, nb.nbrs, i.ids)
+      val (eps, d, xs) = (i.eps, i.d, i.coords)
       val e2 = eps * eps
-      val (d, xs) = (i.d, i.coords)
       // The clusters a point borders, distinct: at most one per cell of g
       // and its neighbors.
-      val found = new Array[Int](1 + i.nbrCounts.foldLeft(0)(math.max))
+      val found = new Array[Int](1 + nb.maxCount)
       // Per border point: its id, its cluster count, and its clusters, sorted.
       val (border, counts, clusters) = (new mutable.ArrayBuilder.ofInt, new mutable.ArrayBuilder.ofInt,
         new mutable.ArrayBuilder.ofInt)

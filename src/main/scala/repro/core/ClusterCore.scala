@@ -37,11 +37,19 @@ final case class GraphStats(
   */
 object ClusterCore {
 
-  /** Returns (cluster id per cell, dense in [0, k) in cell order, -1 for
-    * non-core cells; stats). */
+  /** [[run]] for an index that holds its neighbor lists (`CellIndex.grid`,
+    * `box2d`): broadcasts them for the call. */
   def run(sc: SparkContext, bcIdx: Broadcast[CellIndex], bcFlags: Broadcast[Array[Boolean]],
           bcCtx: Broadcast[ConnCtx], method: GraphMethod, bucketing: Boolean,
-          numBuckets: Int = DBSCANConfig.DefaultBuckets, par: Int = 0): (Array[Int], GraphStats) = {
+          numBuckets: Int = DBSCANConfig.DefaultBuckets, par: Int = 0): (Array[Int], GraphStats) =
+    Par.sharing(sc)(share =>
+      run(sc, bcIdx, share(bcIdx.value.lists), bcFlags, bcCtx, method, bucketing, numBuckets, par))
+
+  /** Returns (cluster id per cell, dense in [0, k) in cell order, -1 for
+    * non-core cells; stats), the cells' neighbor lists read from `bcNbrs`. */
+  def run(sc: SparkContext, bcIdx: Broadcast[CellIndex], bcNbrs: Broadcast[Neighbors],
+          bcFlags: Broadcast[Array[Boolean]], bcCtx: Broadcast[ConnCtx], method: GraphMethod,
+          bucketing: Boolean, numBuckets: Int, par: Int): (Array[Int], GraphStats) = {
     val idx = bcIdx.value
     val ctx = bcCtx.value
     val m = idx.numCells
@@ -75,14 +83,14 @@ object ClusterCore {
           val blocks = Par.sharing(sc) { share =>
             val bcSnap = share(uf.roots())
             Par.slices(sc, order.length, par) { (from, until) =>
-              val (i, c, snap, local) = (bcIdx.value, bcCtx.value, bcSnap.value, new UnionFind(m))
+              val (i, nb, c, snap, local) = (bcIdx.value, bcNbrs.value, bcCtx.value, bcSnap.value, new UnionFind(m))
               val links = new scala.collection.mutable.ArrayBuilder.ofInt // (owner, neighbor) pairs
               var candidates = 0L; var queries = 0L
               val len = (until - from).toLong
               for (g <- order.slice(from + (len * j / rounds).toInt, from + (len * (j + 1) / rounds).toInt)) {
-                var k = i.nbrStart(g)
-                while (k < i.nbrStart(g + 1)) {
-                  val h = i.nbrs(k)
+                var k = nb.start(g)
+                while (k < nb.start(g + 1)) {
+                  val h = nb.nbrs(k)
                   if (c.coreCount(h) > c.coreCount(g) || (c.coreCount(h) == c.coreCount(g) && h < g)) {
                     candidates += 1
                     if (local.find(snap(g)) != local.find(snap(h))) {
@@ -120,12 +128,16 @@ object ClusterCore {
                           ctx: ConnCtx): (UnionFind, GraphStats) = {
     require(idx.d == 2, "Delaunay cell graph is 2D-only")
     val m = idx.numCells
-    // Gather core points (positions in cell order) with their cell ids.
-    val (corePos, cellOf) =
-      (for (c <- 0 until m; p <- idx.start(c) until idx.start(c + 1) if flags(idx.ids(p))) yield (p, c))
-        .toArray.unzip
-    val px = corePos.map(p => idx.coords(2 * p))
-    val py = corePos.map(p => idx.coords(2 * p + 1))
+    // Gather the core points' coordinates and cells, in cell order.
+    val k = ctx.coreCount.sum
+    val (px, py, cellOf) = (new Array[Double](k), new Array[Double](k), new Array[Int](k))
+    val (start, ids, xs) = (idx.start, idx.ids, idx.coords)
+    var (c, p, i) = (0, 0, 0)
+    while (p < start(m)) { // cells are contiguous position ranges from 0
+      while (start(c + 1) <= p) c += 1 // the cell of position p
+      if (flags(ids(p))) { px(i) = xs(2 * p); py(i) = xs(2 * p + 1); cellOf(i) = c; i += 1 }
+      p += 1
+    }
     val uf = new UnionFind(m)
     val dt = new Delaunay(px, py).edges()
     val eps2 = idx.eps * idx.eps

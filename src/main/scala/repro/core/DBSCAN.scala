@@ -80,10 +80,13 @@ object DBSCANConfig {
     variants.collectFirst { case (`name`, f) => f(eps, minPts, rho) }
 }
 
-/** Phase timings (ms) and graph stats of one run. `markCoreMs` covers the
-  * cell quadtrees (QtCore) and MarkCore's job, which also sets up the
-  * connectivity context, and the broadcasts of both; `clusterCoreMs` covers
-  * the cell graph and its components. */
+/** Phase timings (ms) and graph stats of one run. `gridMs` covers the
+  * cells and the index's broadcast, not the neighbor search; `markCoreMs`
+  * covers the cell quadtrees (QtCore) and MarkCore's job, which also finds
+  * the neighbor lists (its k-d tree built and broadcast on the driver
+  * included) and sets up the connectivity context, and the broadcasts of
+  * the flags, the context and the lists; `clusterCoreMs` covers the cell
+  * graph and its components. */
 final case class RunStats(
     gridMs: Long, markCoreMs: Long, clusterCoreMs: Long, clusterBorderMs: Long,
     graph: GraphStats) {
@@ -212,10 +215,7 @@ object DBSCAN {
     }
     Par.sharing(sc) { share =>
       var t0 = System.nanoTime()
-      val idx = cfg.cellMethod match {
-        case GridCells => CellIndex.grid(points, cfg.eps, d, par)
-        case BoxCells  => CellIndex.box2d(points, cfg.eps, par)
-      }
+      val idx = CellIndex.cells(points, cfg.eps, d, cfg.cellMethod, par)
       val bcIdx = share(idx)
       val gridMs = (System.nanoTime() - t0) / 1000000
 
@@ -224,20 +224,19 @@ object DBSCAN {
         case QtCore   => Some(share(MarkCore.buildCellQuadTrees(sc, bcIdx, par)))
         case ScanCore => None
       }
-      val (flags, ctx) = MarkCore.withCtx(sc, bcIdx, cfg.minPts, bcQt, cfg.graphMethod, par)
-      val bcFlags = share(flags)
-      val bcCtx = share(ctx)
+      val (flags, ctx, lists) = MarkCore.withCtx(sc, bcIdx, cfg.minPts, bcQt, cfg.graphMethod, par)
+      val (bcFlags, bcCtx, bcNbrs) = (share(flags), share(ctx), share(lists))
       val markMs = (System.nanoTime() - t0) / 1000000
 
       t0 = System.nanoTime()
       val (cellCluster, gStats) =
-        ClusterCore.run(sc, bcIdx, bcFlags, bcCtx, cfg.graphMethod, cfg.bucketing,
+        ClusterCore.run(sc, bcIdx, bcNbrs, bcFlags, bcCtx, cfg.graphMethod, cfg.bucketing,
           cfg.numBuckets, par)
       val bcCellCluster = share(cellCluster)
       val coreMs = (System.nanoTime() - t0) / 1000000
 
       t0 = System.nanoTime()
-      val border = ClusterBorder.run(sc, bcIdx, bcFlags, bcCellCluster, cfg.minPts, par)
+      val border = ClusterBorder.run(sc, bcIdx, bcNbrs, bcFlags, bcCellCluster, cfg.minPts, par)
       val borderMs = (System.nanoTime() - t0) / 1000000
 
       // Per-point cluster ids for core points: a core point's cell is a core cell.

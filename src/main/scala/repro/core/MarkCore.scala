@@ -14,8 +14,9 @@ import repro.geometry.QuadTree
   * reaches minPts. A neighbor cell whose box lies wholly within ε of the
   * point counts whole, and a cell that holds fewer than minPts points with
   * its neighbors together is skipped. The per-cell loop is one
-  * [[Par.slices]] pass, which also sets up each core cell's part of the
-  * run's [[ConnCtx]].
+  * [[Par.slices]] pass, whose tasks first look up their cells' neighbor
+  * lists and which also sets up each core cell's part of the run's
+  * [[ConnCtx]].
   */
 object MarkCore {
 
@@ -33,25 +34,24 @@ object MarkCore {
           bcQt: Option[Broadcast[Array[QuadTree]]], par: Int = 0): Array[Boolean] =
     withCtx(sc, bcIdx, minPts, bcQt, BcpGraph, par)._1 // BCP sets up the least
 
-  /** The core flag for every point id in [0, n), and the [[ConnCtx]] of
-    * `method`, from one job: each task marks its cells' core points and sets
-    * up their parts of the context (see `ConnCtx.pass`). */
+  /** The core flag for every point id in [0, n), the [[ConnCtx]] of
+    * `method` and every cell's neighbor lists, from one job: each task looks
+    * up its cells' lists, marks their core points and sets up their parts of
+    * the context (see `ConnCtx.pass`). */
   def withCtx(sc: SparkContext, bcIdx: Broadcast[CellIndex], minPts: Int,
               bcQt: Option[Broadcast[Array[QuadTree]]], method: GraphMethod,
-              par: Int = 0): (Array[Boolean], ConnCtx) =
+              par: Int = 0): (Array[Boolean], ConnCtx, Neighbors) =
     ConnCtx.pass(sc, bcIdx, method, par) {
-      // The offsets are lazy vals: read them once per task, not per test.
+      // The offsets are a lazy val: read them once per task, not per test.
       val idx = bcIdx.value
-      val (start, nbrStart, nbrs) = (idx.start, idx.nbrStart, idx.nbrs)
-      val size = idx.cellSizes
-      val eps = idx.eps
+      val (start, size, eps) = (idx.start, idx.cellSizes, idx.eps)
       val e2 = eps * eps
       val (d, xs, lo, hi) = (idx.d, idx.coords, idx.cellLo, idx.cellHi)
       val qts = bcQt.map(_.value)
-      def isCore(c: Int, p: Int): Boolean = {
+      def isCore(c: Int, p: Int, nbrs: Array[Int], from: Int, until: Int): Boolean = {
         var count = start(c + 1) - start(c) // everything in the own cell is within ε
-        var k = nbrStart(c)
-        while (count < minPts && k < nbrStart(c + 1)) {
+        var k = from
+        while (count < minPts && k < until) {
           val h = nbrs(k)
           if (BBox.minSqDistTo(lo, hi, h * d, d, xs, p * d) <= e2) {
             // A box wholly within ε of p counts whole; float subtraction
@@ -72,16 +72,16 @@ object MarkCore {
         }
         count >= minPts
       }
-      (c, out) => {
+      (c, nbrs, from, until, out) => {
         val (s, e) = (start(c), start(c + 1))
         // Points in c and its neighbors: no point of c counts more.
         var reach = e - s
-        var n = nbrStart(c)
-        while (reach < minPts && n < nbrStart(c + 1)) { reach += size(nbrs(n)); n += 1 }
+        var n = from
+        while (reach < minPts && n < until) { reach += size(nbrs(n)); n += 1 }
         var k = 0
         if (reach >= minPts) {
           var p = s
-          while (p < e) { if (e - s >= minPts || isCore(c, p)) { out(k) = p; k += 1 }; p += 1 }
+          while (p < e) { if (e - s >= minPts || isCore(c, p, nbrs, from, until)) { out(k) = p; k += 1 }; p += 1 }
         }
         k
       }

@@ -95,12 +95,12 @@ class BroadcastLeakSpec extends SparkSpec {
   }
 
   test("a run that fails in a phase still destroys its broadcasts") {
-    // Job 4 is MarkCore's (cells run 2, the cell quadtrees 1): it fails
+    // Job 3 is MarkCore's (cells run 1, the cell quadtrees 1): it fails
     // after the cell index and the cell quadtrees are broadcast.
     assertNoLeak {
       val cfg = DBSCANConfig(3.0, 5, GridCells, QtCore, UsecGraph)
       intercept[SparkException] {
-        cancellingJob(4)(DBSCAN.run(spark, spark.sparkContext.parallelize(pts2d.toSeq, 4), 2, cfg))
+        cancellingJob(3)(DBSCAN.run(spark, spark.sparkContext.parallelize(pts2d.toSeq, 4), 2, cfg))
       }
     }
   }
@@ -154,7 +154,7 @@ class BroadcastLeakSpec extends SparkSpec {
     val jobs = jobsOf { res = run() }
     // Both buckets hold core cells, so ClusterCore runs two jobs and two snapshots.
     assert(res.stats.graph.numCoreCells >= cfg.numBuckets)
-    assert(jobs >= 6, s"$jobs jobs") // cells 2, MarkCore 1, buckets 2, ClusterBorder 1
+    assert(jobs >= 5, s"$jobs jobs") // cells 1, MarkCore 1, buckets 2, ClusterBorder 1
     for (k <- 1 to jobs) withClue(s"job $k of $jobs: ") {
       assertNoLeak {
         intercept[SparkException](cancellingJob(k)(run()))

@@ -109,7 +109,8 @@ object TestUtil {
     require(a.ids.toSeq == b.ids.toSeq, "ids differ")
     require(bits(a.coords) == bits(b.coords), "coordinates differ")
     require(bits(a.cellLo) == bits(b.cellLo) && bits(a.cellHi) == bits(b.cellHi), "cell boxes differ")
-    require(a.nbrCounts.toSeq == b.nbrCounts.toSeq && a.nbrs.toSeq == b.nbrs.toSeq, "neighbor lists differ")
+    require(a.lists.counts.toSeq == b.lists.counts.toSeq && a.lists.nbrs.toSeq == b.lists.nbrs.toSeq,
+      "neighbor lists differ")
   }
 
   /** Canonical label of a cluster: the smallest core-point id it contains. */

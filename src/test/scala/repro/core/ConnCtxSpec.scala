@@ -31,8 +31,9 @@ class ConnCtxSpec extends SparkSpec {
     try {
       val built = ConnCtx.build(sc, bcIdx, bcFlags, method)
       for (par <- Seq(1, 3)) withClue(s"par=$par: ") {
-        val (flags, ctx) = MarkCore.withCtx(sc, bcIdx, minPts, bcQt, method, par)
+        val (flags, ctx, lists) = MarkCore.withCtx(sc, bcIdx, minPts, bcQt, method, par)
         assert(flags.toSeq === want.toSeq)
+        assert(lists.counts.toSeq === idx.lists.counts.toSeq && lists.nbrs.toSeq === idx.lists.nbrs.toSeq)
         assert(want.count(identity) > 0 && want.count(!_) > 0)
         assert(ctx.coreCount.toSeq === built.coreCount.toSeq)
         for (c <- 0 until idx.numCells) withClue(s"cell $c: ") {
@@ -68,7 +69,7 @@ class ConnCtxSpec extends SparkSpec {
             // Queries from the cell's own points and its neighbors' points.
             for (_ <- 0 until 300) {
               val c = coreCells(rnd.nextInt(coreCells.length))
-              val near = c +: idx.nbrs.slice(idx.nbrStart(c), idx.nbrStart(c + 1)).toSeq
+              val near = c +: idx.neighbors(c).toSeq
               val h = near(rnd.nextInt(near.length))
               val q = idx.start(h) + rnd.nextInt(idx.size(h))
               val n = ctx.coreQt(c).count(idx.coords, q * d, eps, Int.MaxValue)

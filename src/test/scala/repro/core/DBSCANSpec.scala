@@ -257,8 +257,8 @@ class DBSCANSpec extends SparkSpec {
 
   private def jobsOf[T](body: => T): (T, Int) = TestUtil.jobsOf(spark.sparkContext)(body)
 
-  test("a grid, scan run makes 5 jobs (4 with Delaunay), one more each with bucketing, QtCore and box cells") {
-    // Cells 2 (grouping, neighbor search), MarkCore with the connectivity
+  test("a grid, scan run makes 4 jobs (3 with Delaunay), one more each with bucketing, QtCore and box cells") {
+    // Cells 1, MarkCore with the neighbor search and the connectivity
     // set-up 1, ClusterCore 1 per round, ClusterBorder 1; Delaunay builds
     // its cell graph on the driver. QtCore builds its cell quadtrees in a
     // job, and box cells collect the coordinates for their boundaries.
@@ -269,7 +269,7 @@ class DBSCANSpec extends SparkSpec {
       val cfg = DBSCANConfig(3.0, 8, cells, core, graph, bucketing)
       val (res, jobs) = jobsOf(DBSCAN.run(spark, rdd(pts), 2, cfg))
       val extra = Seq(bucketing && graph != DelaunayGraph, core == QtCore, cells == BoxCells).count(identity)
-      assert(jobs === (if (graph == DelaunayGraph) 4 else 5) + extra, s"$graph $cells $core bucketing=$bucketing")
+      assert(jobs === (if (graph == DelaunayGraph) 3 else 4) + extra, s"$graph $cells $core bucketing=$bucketing")
       if (graph != ApproxGraph(0.01)) TestUtil.assertSameClustering(res, want)
     }
   }

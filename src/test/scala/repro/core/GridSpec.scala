@@ -116,7 +116,7 @@ class GridSpec extends SparkSpec {
       for (idx <- Seq(CellIndex.grid(input, 1.0, 2), CellIndex.box2d(input, 1.0))) {
         assert(idx.numCells === 0)
         assert(idx.n === 0)
-        assert(idx.nbrs.isEmpty)
+        assert(idx.lists.nbrs.isEmpty)
       }
       for (cells <- Seq(GridCells, BoxCells)) {
         val res = DBSCAN.run(spark, input, 2, DBSCANConfig(1.0, 3, cellMethod = cells))
@@ -261,9 +261,9 @@ class GridSpec extends SparkSpec {
       for (ulps <- 0 to 1) {
         val lo1 = far.clone(); if (ulps == 1) lo1(1) = Math.nextUp(lo1(1))
         val hi1 = lo1.map(_ + 2.0)
-        val (counts, nbrs) = CellIndex.neighborLists(sc, lo0 ++ lo1, hi0 ++ hi1, 2, eps, par = 2)
-        if (ulps == 0) assert(counts.toSeq === Seq(1, 1) && nbrs.toSeq === Seq(1, 0), s"eps=$eps")
-        else assert(counts.toSeq === Seq(0, 0) && nbrs.isEmpty, s"eps=$eps, one ulp beyond")
+        val nb = CellIndex.neighborLists(sc, lo0 ++ lo1, hi0 ++ hi1, 2, eps, par = 2)
+        if (ulps == 0) assert(nb.counts.toSeq === Seq(1, 1) && nb.nbrs.toSeq === Seq(1, 0), s"eps=$eps")
+        else assert(nb.counts.toSeq === Seq(0, 0) && nb.nbrs.isEmpty, s"eps=$eps, one ulp beyond")
       }
     }
   }
@@ -273,11 +273,10 @@ class GridSpec extends SparkSpec {
     val rnd = new java.util.SplittableRandom(3L)
     for (d <- 1 to 4) {
       val xs = Array.fill(300 * d)(rnd.nextInt(12).toDouble)
-      val (counts, nbrs) = CellIndex.neighborLists(spark.sparkContext, xs, xs, d, 2.0, par = 3)
-      val start = counts.scanLeft(0)(_ + _)
+      val nb = CellIndex.neighborLists(spark.sparkContext, xs, xs, d, 2.0, par = 3)
       for (a <- 0 until 300) {
         val want = (0 until 300).filter(b => b != a && Dist.leq(xs, a * d, xs, b * d, d, 2.0))
-        assert(nbrs.slice(start(a), start(a + 1)).toSeq === want, s"d=$d point $a")
+        assert(nb(a).toSeq === want, s"d=$d point $a")
       }
     }
   }
