@@ -70,10 +70,9 @@ object ConnCtx {
   /** The one per-cell pass of MarkCore and the context's set-up (paper Alg.
     * 1–3: both are flat loops over cells): one [[Par.slices]] job over the
     * cells, each task first taking its cells' neighbor lists and then
-    * opening `mark` once. An index without lists (a run's) gets the k-d tree
-    * over its cell boxes, built here and broadcast for this job alone, and
-    * each task looks its cells up in it (`CellIndex.listsIn`); an index
-    * with lists (`grid`'s, `box2d`'s) gives each task a slice of them.
+    * opening `mark` once. The k-d tree over the cell boxes is built here and
+    * broadcast for this job alone, and each task looks its cells up in it
+    * (`CellIndex.listsIn`); lists the index may hold are not read.
     * `mark(c, nbrs, from, until, out)`, whose `nbrs[from, until)` is cell
     * c's neighbor list, writes c's core positions, ascending, to the start
     * of `out` and returns their number; the same task then sets up the
@@ -84,20 +83,20 @@ object ConnCtx {
     val idx = bcIdx.value
     require(method != UsecGraph || idx.d == 2, "USEC cell graph is 2D-only")
     Par.sharing(sc) { share =>
-      val bcTree = Option.when(idx.lists == null)(share(CellIndex.boxTree(idx.cellLo, idx.cellHi, idx.d)))
+      val bcTree = share(CellIndex.boxTree(idx.cellLo, idx.cellHi, idx.d))
       assemble(idx, method, Par.slices(sc, idx.numCells, par)((from, until) =>
-        part(bcIdx.value, bcTree.map(_.value), method, from, until, mark)))
+        part(bcIdx.value, bcTree.value, method, from, until, mark)))
     }
   }
 
-  /** Marks cells `[from, until)` with `mark` and sets up their core cells:
+  /** Marks cells `[from, until)` with `mark`, their lists looked up in
+    * `tree`, and sets up their core cells:
     * the core box always; the quadtree over the core points for the
     * quadtree graphs (ρ-approximate for [[ApproxGraph]]); the core points
     * sorted by each axis for USEC. */
-  private def part(idx: CellIndex, tree: Option[KDTree], method: GraphMethod, from: Int, until: Int,
+  private def part(idx: CellIndex, tree: KDTree, method: GraphMethod, from: Int, until: Int,
                    mark: (Int, Array[Int], Int, Int, Array[Int]) => Int): Part = {
-    val nb = tree.fold(idx.lists.slice(from, until))(
-      CellIndex.listsIn(_, idx.cellLo, idx.cellHi, idx.d, idx.eps, from, until))
+    val nb = CellIndex.listsIn(tree, idx.cellLo, idx.cellHi, idx.d, idx.eps, from, until)
     val d = idx.d
     val minSide = method match {
       case ApproxGraph(rho) => rho * idx.cellSide // ρ·ε/√d

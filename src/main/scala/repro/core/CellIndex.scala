@@ -68,7 +68,7 @@ final class CellIndex(
   def qtLo(c: Int): Array[Double] = tightLo(c)
 
   /** Every cell's neighbor list, sliced on access; needs the `lists`. */
-  def neighbors: collection.IndexedSeqView[Array[Int]] = (0 until numCells).view.map(lists(_))
+  def neighbors: collection.IndexedSeqView[Array[Int]] = (0 until numCells).view.map(CellIndex.listsOf(this)(_))
 
   /** Cell c's points as fresh `Pt`s, for the `Pt`-based per-cell structures. */
   def pts(c: Int): Array[Pt] =
@@ -95,11 +95,6 @@ final class Neighbors(val counts: Array[Int], val nbrs: Array[Int]) extends Seri
 
   /** Cell c's list, sliced. */
   def apply(c: Int): Array[Int] = nbrs.slice(start(c), start(c + 1))
-
-  /** The lists of cells `[from, until)`, cell i of the result being cell
-    * `from + i`. */
-  def slice(from: Int, until: Int): Neighbors =
-    new Neighbors(counts.slice(from, until), nbrs.slice(start(from), start(until)))
 }
 
 object CellIndex {
@@ -176,6 +171,11 @@ object CellIndex {
       }
     }
   }
+
+  /** `idx`'s neighbor lists; throws on the caller's thread when `idx` holds
+    * none (a run's index, from `cells`). */
+  private[core] def listsOf(idx: CellIndex): Neighbors = if (idx.lists != null) idx.lists
+    else throw new IllegalArgumentException("the index holds no neighbor lists: build it with CellIndex.grid or box2d")
 
   /** `idx` with its neighbor lists, found by `neighborLists`. */
   private def withLists(idx: CellIndex, sc: SparkContext, par: Int): CellIndex =

@@ -17,10 +17,11 @@ import org.apache.spark.broadcast.Broadcast
 object ClusterBorder {
 
   /** [[run]] for an index that holds its neighbor lists (`CellIndex.grid`,
-    * `box2d`): broadcasts them for the call. */
+    * `box2d`): broadcasts them for the call. Throws on the driver for an
+    * index without them. */
   def run(sc: SparkContext, bcIdx: Broadcast[CellIndex], bcFlags: Broadcast[Array[Boolean]],
           bcComp: Broadcast[Array[Int]], minPts: Int, par: Int = 0): Array[Array[Int]] =
-    Par.sharing(sc)(share => run(sc, bcIdx, share(bcIdx.value.lists), bcFlags, bcComp, minPts, par))
+    Par.sharing(sc)(share => run(sc, bcIdx, share(CellIndex.listsOf(bcIdx.value)), bcFlags, bcComp, minPts, par))
 
   /** Returns, for each non-core point id, the sorted component ids it borders
     * (empty array elsewhere — core points and noise), the cells' neighbor

@@ -38,12 +38,13 @@ final case class GraphStats(
 object ClusterCore {
 
   /** [[run]] for an index that holds its neighbor lists (`CellIndex.grid`,
-    * `box2d`): broadcasts them for the call. */
+    * `box2d`): broadcasts them for the call. Throws on the driver for an
+    * index without them. */
   def run(sc: SparkContext, bcIdx: Broadcast[CellIndex], bcFlags: Broadcast[Array[Boolean]],
           bcCtx: Broadcast[ConnCtx], method: GraphMethod, bucketing: Boolean,
           numBuckets: Int = DBSCANConfig.DefaultBuckets, par: Int = 0): (Array[Int], GraphStats) =
     Par.sharing(sc)(share =>
-      run(sc, bcIdx, share(bcIdx.value.lists), bcFlags, bcCtx, method, bucketing, numBuckets, par))
+      run(sc, bcIdx, share(CellIndex.listsOf(bcIdx.value)), bcFlags, bcCtx, method, bucketing, numBuckets, par))
 
   /** Returns (cluster id per cell, dense in [0, k) in cell order, -1 for
     * non-core cells; stats), the cells' neighbor lists read from `bcNbrs`. */

@@ -33,6 +33,7 @@ class ConnCtxSpec extends SparkSpec {
       for (par <- Seq(1, 3)) withClue(s"par=$par: ") {
         val (flags, ctx, lists) = MarkCore.withCtx(sc, bcIdx, minPts, bcQt, method, par)
         assert(flags.toSeq === want.toSeq)
+        // The job's tree query against grid's own neighborLists job.
         assert(lists.counts.toSeq === idx.lists.counts.toSeq && lists.nbrs.toSeq === idx.lists.nbrs.toSeq)
         assert(want.count(identity) > 0 && want.count(!_) > 0)
         assert(ctx.coreCount.toSeq === built.coreCount.toSeq)

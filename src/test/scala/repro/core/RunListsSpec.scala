@@ -32,8 +32,13 @@ class RunListsSpec extends SparkSpec {
       assert(idx.lists == null && want.lists != null, clue)
       assert(want.lists.nbrs.nonEmpty && want.lists.maxCount > 1, clue)
       val bcIdx = sc.broadcast(idx)
-      try sameLists(MarkCore.withCtx(sc, bcIdx, 5, None, BcpGraph, par)._3, want.lists, clue)
-      finally bcIdx.destroy()
+      try {
+        sameLists(MarkCore.withCtx(sc, bcIdx, 5, None, BcpGraph, par)._3, want.lists, clue)
+        // What reads an index's own lists refuses a run's index on the driver.
+        intercept[IllegalArgumentException](idx.neighbors(0))
+        intercept[IllegalArgumentException](ClusterBorder.run(sc, bcIdx, null, null, 5, par))
+        intercept[IllegalArgumentException](ClusterCore.run(sc, bcIdx, null, null, BcpGraph, false, par = par))
+      } finally bcIdx.destroy()
     }
   }
 
