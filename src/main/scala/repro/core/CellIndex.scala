@@ -85,11 +85,8 @@ final class CellIndex(
 
 /** Every cell's neighboring cells as one CSR pair: each cell's neighbor
   * count, and the sorted lists one after another. The offsets are derived
-  * once per JVM, like the index's; `maxCount`, the longest list, is computed
-  * once where the lists are made and travels with them. */
+  * once per JVM, like the index's. */
 final class Neighbors(val counts: Array[Int], val nbrs: Array[Int]) extends Serializable {
-  val maxCount: Int = counts.foldLeft(0)(math.max)
-
   /** Offsets (m + 1) into `nbrs`. */
   @transient lazy val start: Array[Int] = counts.scanLeft(0)(_ + _)
 

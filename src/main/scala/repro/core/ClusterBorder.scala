@@ -7,80 +7,115 @@ import org.apache.spark.broadcast.Broadcast
 /** Parallel ClusterBorder (paper Alg. 4).
   *
   * Every non-core point checks its own cell and the neighboring cells for a
-  * core point within ε, joining that cell's cluster on a hit (a border point
-  * can belong to several clusters). Since all core points of one cell share a
-  * component, one hit per neighbor cell suffices — the scan early-exits.
+  * core point within ε, and joins the cluster of each core cell it reaches
+  * (a border point can belong to several clusters). One hit per core cell
+  * suffices, so the scan of a cell early-exits, and a core cell whose box
+  * lies wholly within ε is a hit without a scan. The test needs the core
+  * flags and the neighbor lists, not the cell graph's components: a run
+  * does it in ClusterCore's last job ([[ClusterCore.run]]), skipping the
+  * cells of a component it reached already as far as that job knows the
+  * components, and the driver maps the core cells each point reaches to
+  * cluster ids after the last round's unions ([[assign]]).
   *
-  * Non-core points only exist in cells with < minPts points (bigger cells are
-  * all-core), so only those cells are visited.
+  * Only the cells that hold a non-core point are visited.
   */
 object ClusterBorder {
 
-  /** [[run]] for an index that holds its neighbor lists (`CellIndex.grid`,
-    * `box2d`): broadcasts them for the call. Throws on the driver for an
-    * index without them. */
-  def run(sc: SparkContext, bcIdx: Broadcast[CellIndex], bcFlags: Broadcast[Array[Boolean]],
-          bcComp: Broadcast[Array[Int]], minPts: Int, par: Int = 0): Array[Array[Int]] =
-    Par.sharing(sc)(share => run(sc, bcIdx, share(CellIndex.listsOf(bcIdx.value)), bcFlags, bcComp, minPts, par))
+  /** One task's hits, flat: per non-core point that reaches a core cell, its
+    * id, the number of core cells it reaches, and (all points in turn) the
+    * core cells. */
+  private[core] type Hits = (Array[Int], Array[Int], Array[Int])
 
-  /** Returns, for each non-core point id, the sorted component ids it borders
-    * (empty array elsewhere — core points and noise), the cells' neighbor
-    * lists read from `bcNbrs`. */
-  def run(sc: SparkContext, bcIdx: Broadcast[CellIndex], bcNbrs: Broadcast[Neighbors],
-          bcFlags: Broadcast[Array[Boolean]], bcComp: Broadcast[Array[Int]], minPts: Int,
-          par: Int): Array[Array[Int]] = {
-    val idx = bcIdx.value
-    val small = new mutable.ArrayBuilder.ofInt
-    var c = 0
-    while (c < idx.numCells) { if (idx.size(c) < minPts) small += c; c += 1 }
-    val cells = small.result()
-    val blocks = Par.slices(sc, cells.length, par) { (from, until) =>
-      // The offsets are lazy vals: read them once per task, not per test.
-      val (i, nb, fl, comp) = (bcIdx.value, bcNbrs.value, bcFlags.value, bcComp.value)
-      val (start, nbrStart, nbrs, ids) = (i.start, nb.start, nb.nbrs, i.ids)
-      val (eps, d, xs) = (i.eps, i.d, i.coords)
-      val e2 = eps * eps
-      // The clusters a point borders, distinct: at most one per cell of g
-      // and its neighbors.
-      val found = new Array[Int](1 + nb.maxCount)
-      // Per border point: its id, its cluster count, and its clusters, sorted.
-      val (border, counts, clusters) = (new mutable.ArrayBuilder.ofInt, new mutable.ArrayBuilder.ofInt,
-        new mutable.ArrayBuilder.ofInt)
-      for (g <- cells.slice(from, until); p <- start(g) until start(g + 1) if !fl(ids(p))) {
-        // Everything in the own cell is within ε: any core point in g puts p
-        // in g's cluster without a distance check.
-        var k = 0
-        if (comp(g) >= 0) { found(0) = comp(g); k = 1 }
-        var n = nbrStart(g)
-        while (n < nbrStart(g + 1)) {
-          val h = nbrs(n)
-          var seen = comp(h) < 0
-          var f = 0
-          while (!seen && f < k) { seen = found(f) == comp(h); f += 1 }
-          if (!seen && i.minSqDistToCell(h, xs, p * d) <= e2) {
-            var j = start(h)
-            val end = start(h + 1)
-            var hit = false
-            while (!hit && j < end) {
-              if (fl(ids(j)) && Dist.leq(xs, j * d, xs, p * d, d, eps)) hit = true
-              j += 1
-            }
-            if (hit) { found(k) = comp(h); k += 1 }
+  /** The cells that hold a non-core point, ascending. */
+  private[core] def cells(idx: CellIndex, flags: Array[Boolean]): Array[Int] = {
+    val (start, ids) = (idx.start, idx.ids)
+    Array.range(0, idx.numCells).filter(c => (start(c) until start(c + 1)).exists(p => !flags(ids(p))))
+  }
+
+  /** The hits of the non-core points of `cells[from, until)`: the core
+    * cells each one reaches — its own cell, if core, since everything in
+    * it is within ε, and each core neighbor cell holding a core point
+    * within ε. `rep(c)` is -1 for a non-core cell c, else a representative
+    * of c's component as far as the caller knows it: a cell whose
+    * representative the point reached already is skipped, since it joins
+    * no new cluster. */
+  private[core] def hits(idx: CellIndex, nb: Neighbors, fl: Array[Boolean], rep: Int => Int,
+                         cells: Array[Int], from: Int, until: Int): Hits = {
+    // The offsets are lazy vals: read them once per task, not per test.
+    val (start, nbrStart, nbrs, ids) = (idx.start, nb.start, nb.nbrs, idx.ids)
+    val (eps, d, xs) = (idx.eps, idx.d, idx.coords)
+    val e2 = eps * eps
+    // The representatives a point reached: at most one per cell of g and its neighbors.
+    val found = new Array[Int](1 + (from until until).foldLeft(0)((s, i) => math.max(s, nb.counts(cells(i)))))
+    val (border, counts, reached) = (new mutable.ArrayBuilder.ofInt, new mutable.ArrayBuilder.ofInt,
+      new mutable.ArrayBuilder.ofInt)
+    for (g <- cells.slice(from, until); p <- start(g) until start(g + 1) if !fl(ids(p))) {
+      var k = 0
+      if (rep(g) >= 0) { found(0) = rep(g); reached += g; k = 1 }
+      var n = nbrStart(g)
+      while (n < nbrStart(g + 1)) {
+        val h = nbrs(n)
+        val r = rep(h)
+        var seen = r < 0
+        var f = 0
+        while (!seen && f < k) { seen = found(f) == r; f += 1 }
+        if (!seen && idx.minSqDistToCell(h, xs, p * d) <= e2) {
+          // A core cell whose box lies wholly within ε holds a core point
+          // within ε; float subtraction and squaring are monotone, so this
+          // agrees with `Dist.leq`.
+          var hit = BBox.maxSqDistTo(idx.cellLo, idx.cellHi, h * d, d, xs, p * d) <= e2
+          var j = start(h)
+          while (!hit && j < start(h + 1)) {
+            hit = fl(ids(j)) && Dist.leq(xs, j * d, xs, p * d, d, eps)
+            j += 1
           }
-          n += 1
+          if (hit) { found(k) = r; k += 1; reached += h }
         }
-        if (k > 0) {
-          java.util.Arrays.sort(found, 0, k)
-          border += ids(p); counts += k; clusters.addAll(found, 0, k)
-        }
+        n += 1
       }
-      (border.result(), counts.result(), clusters.result())
+      if (k > 0) { border += ids(p); counts += k }
     }
-    val out = Array.fill(idx.n.toInt)(Array.emptyIntArray)
-    for ((border, counts, clusters) <- blocks) {
+    (border.result(), counts.result(), reached.result())
+  }
+
+  /** For each point id in [0, n), the sorted distinct clusters of the core
+    * cells it reaches in `hits`, where cell c's cluster is `cellCluster(c)`
+    * (empty for points no hit names: core points and noise). */
+  private[core] def assign(n: Int, hits: Array[Hits], cellCluster: Array[Int]): Array[Array[Int]] = {
+    val out = Array.fill(n)(Array.emptyIntArray)
+    for ((border, counts, reached) <- hits) {
       var off = 0
-      for (b <- border.indices) { out(border(b)) = clusters.slice(off, off + counts(b)); off += counts(b) }
+      for (b <- border.indices) {
+        val cs = reached.slice(off, off + counts(b))
+        var k = 0
+        while (k < cs.length) { cs(k) = cellCluster(cs(k)); k += 1 }
+        java.util.Arrays.sort(cs)
+        // Cells of one component share a cluster: keep each cluster once.
+        var u = 0
+        k = 0
+        while (k < cs.length) { if (u == 0 || cs(k) != cs(u - 1)) { cs(u) = cs(k); u += 1 }; k += 1 }
+        out(border(b)) = if (u == cs.length) cs else cs.take(u)
+        off += counts(b)
+      }
     }
     out
   }
+
+  /** For each non-core point id, the sorted component ids it borders (empty
+    * array elsewhere — core points and noise), for an index that holds its
+    * neighbor lists (`CellIndex.grid`, `box2d`): runs [[hits]] in a job of
+    * its own, with the components `comp` as representatives (core cells
+    * are those with `comp(c) >= 0`), and maps them with [[assign]]. The flags say which points are core, so
+    * `minPts` is not read. Throws on the driver for an index without lists. */
+  def run(sc: SparkContext, bcIdx: Broadcast[CellIndex], bcFlags: Broadcast[Array[Boolean]],
+          bcComp: Broadcast[Array[Int]], minPts: Int, par: Int = 0): Array[Array[Int]] =
+    Par.sharing(sc) { share =>
+      val bcNbrs = share(CellIndex.listsOf(bcIdx.value))
+      val idx = bcIdx.value
+      val border = cells(idx, bcFlags.value)
+      assign(idx.n.toInt, Par.slices(sc, border.length, par) { (from, until) =>
+        val comp = bcComp.value
+        hits(bcIdx.value, bcNbrs.value, bcFlags.value, comp(_), border, from, until)
+      }, bcComp.value)
+    }
 }

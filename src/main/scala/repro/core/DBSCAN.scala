@@ -86,7 +86,10 @@ object DBSCANConfig {
   * the neighbor lists (its k-d tree built and broadcast on the driver
   * included) and sets up the connectivity context, and the broadcasts of
   * the flags, the context and the lists; `clusterCoreMs` covers the cell
-  * graph and its components. */
+  * graph and its components, and ClusterBorder's per-point test, which
+  * runs in the cell graph's last job; `clusterBorderMs` covers only the
+  * driver's mapping of the core cells each border point reaches to
+  * clusters. */
 final case class RunStats(
     gridMs: Long, markCoreMs: Long, clusterCoreMs: Long, clusterBorderMs: Long,
     graph: GraphStats) {
@@ -186,19 +189,27 @@ object Par {
     Array.concat(ArraySeq.unsafeWrapArray(out): _*)
   }
 
-  /** The one parallel pass over cells (the paper's per-cell `parfor`s):
-    * cuts `[0, n)` into [[parts]]`(n, `[[threads]]`(sc, par))` equal ranges
-    * and runs `f(from, until)` once per range, one task each, in one
-    * [[collect]] job. Returns one block per task, in range order; no job
-    * runs when n = 0. */
-  private[core] def slices[T: ClassTag](sc: SparkContext, n: Int, par: Int)(f: (Int, Int) => T): Array[T] =
-    if (n == 0) Array.empty[T]
+  /** The one parallel pass over cells (the paper's per-cell `parfor`s),
+    * over two sequences at once: cuts `[0, n1)` and `[0, n2)` each into
+    * the same [[parts]]`(max(n1, n2), `[[threads]]`(sc, par))` equal ranges
+    * and runs `f(from1, until1, from2, until2)` once per pair of t-th
+    * ranges, one task each, in one [[collect]] job. Returns one block per
+    * task, in range order; no job runs when both are empty. */
+  private[core] def slices2[T: ClassTag](sc: SparkContext, n1: Int, n2: Int, par: Int)(
+      f: (Int, Int, Int, Int) => T): Array[T] =
+    if (n1 == 0 && n2 == 0) Array.empty[T]
     else {
-      val tasks = parts(n, threads(sc, par))
+      val tasks = parts(math.max(n1, n2), threads(sc, par))
+      def cut(n: Int, t: Int) = (n.toLong * t / tasks).toInt
       collect(sc.parallelize(0 until tasks, tasks))(_.map { t =>
-        f((n.toLong * t / tasks).toInt, (n.toLong * (t + 1) / tasks).toInt)
+        f(cut(n1, t), cut(n1, t + 1), cut(n2, t), cut(n2, t + 1))
       }.toArray)
     }
+
+  /** [[slices2]] over one sequence: `f(from, until)` once per range of
+    * `[0, n)`. */
+  private[core] def slices[T: ClassTag](sc: SparkContext, n: Int, par: Int)(f: (Int, Int) => T): Array[T] =
+    slices2(sc, n, 0, par)((from, until, _, _) => f(from, until))
 }
 
 /** Top-level parallel DBSCAN driver (paper Alg. 1). */
@@ -229,18 +240,17 @@ object DBSCAN {
       val markMs = (System.nanoTime() - t0) / 1000000
 
       t0 = System.nanoTime()
-      val (cellCluster, gStats) =
+      val (cellCluster, gStats, hits) =
         ClusterCore.run(sc, bcIdx, bcNbrs, bcFlags, bcCtx, cfg.graphMethod, cfg.bucketing,
-          cfg.numBuckets, par)
-      val bcCellCluster = share(cellCluster)
+          cfg.numBuckets, ClusterBorder.cells(idx, flags), par)
       val coreMs = (System.nanoTime() - t0) / 1000000
 
       t0 = System.nanoTime()
-      val border = ClusterBorder.run(sc, bcIdx, bcNbrs, bcFlags, bcCellCluster, cfg.minPts, par)
+      val n = idx.n.toInt
+      val border = ClusterBorder.assign(n, hits, cellCluster)
       val borderMs = (System.nanoTime() - t0) / 1000000
 
       // Per-point cluster ids for core points: a core point's cell is a core cell.
-      val n = idx.n.toInt
       val coreCluster = Array.fill(n)(-1)
       val (start, ids) = (idx.start, idx.ids)
       var c = 0; var p = 0

@@ -142,7 +142,10 @@ object Sweeps {
 
   /** Per-phase times (grid / markCore / clusterCore / clusterBorder) and the
     * cell-graph counters on geolife at its default ε — the paper's phase
-    * breakdown discussion (§7.2). The first method runs once untimed first,
+    * breakdown discussion (§7.2). ClusterBorder's per-point test runs in
+    * ClusterCore's last job, so `core` includes it and `border` is only the
+    * driver's mapping of the cells reached to clusters (see `RunStats`). The
+    * first method runs once untimed first,
     * so that no row pays for the JVM's and Spark's warm-up. */
   def phases(spark: SparkSession, scale: Double = 1.0): Outcome = {
     val ds = dataset("geolife", n(200000, scale))
@@ -158,7 +161,8 @@ object Sweeps {
         f"coreCells=${g.numCoreCells} queries=${g.queriesRun}/${g.candidatePairs} edges=${g.edges}"
     }
     Outcome(rows, Set.empty, lines.mkString(
-      s"\n=== Phases (scale=$scale): ${ds.name} n=${ds.n} eps=${ds.defaultEps}, ms ===\n", "\n", "\n"))
+      s"\n=== Phases (scale=$scale): ${ds.name} n=${ds.n} eps=${ds.defaultEps}, ms ===\n", "\n",
+      "\n(core includes ClusterBorder's per-point test; border is the driver's mapping to clusters)\n"))
   }
 
   /** Every experiment by name, at its default budget. */

@@ -52,21 +52,51 @@ class ClusterBorderSpec extends SparkSpec {
     }
   }
 
+  /** The ids of the points the border pass reports, one per report, from
+    * the phase calls `DBSCAN.run` makes. */
+  private def reported(pts: Array[Pt], d: Int, cfg: DBSCANConfig): Seq[Int] = {
+    val sc = spark.sparkContext
+    val idx = CellIndex.cells(sc.parallelize(pts.toSeq, 4), cfg.eps, d, cfg.cellMethod, cfg.parallelism)
+    Par.sharing(sc) { share =>
+      val bcIdx = share(idx)
+      val bcQt = cfg.coreMethod match {
+        case QtCore   => Some(share(MarkCore.buildCellQuadTrees(sc, bcIdx, cfg.parallelism)))
+        case ScanCore => None
+      }
+      val (flags, ctx, lists) = MarkCore.withCtx(sc, bcIdx, cfg.minPts, bcQt, cfg.graphMethod, cfg.parallelism)
+      val (_, _, hits) = ClusterCore.run(sc, bcIdx, share(lists), share(flags), share(ctx), cfg.graphMethod,
+        cfg.bucketing, cfg.numBuckets, ClusterBorder.cells(idx, flags), cfg.parallelism)
+      hits.toSeq.flatMap(_._1.toSeq)
+    }
+  }
+
   test("border points carry the sorted distinct clusters of their core points within eps") {
     // Many small, close clusters, so points border two or more of them.
     for ((d, extent) <- Seq(2 -> 12.0, 3 -> 6.0)) {
       val pts = TestUtil.blobPts(1500, d, numBlobs = 40, sigma = 0.8, extent = extent,
         noiseFrac = 0.3, seed = 17L + d)
       val (eps, minPts) = (0.6, 9)
-      val res = DBSCAN.run(spark, spark.sparkContext.parallelize(pts.toSeq, 4), d, DBSCANConfig(eps, minPts))
-      val core = pts.filter(p => res.isCore(p.id.toInt))
-      var multi = 0
-      for (p <- pts if !res.isCore(p.id.toInt)) {
-        val want = core.filter(q => Dist.leq(p.x, q.x, eps)).map(q => res.coreCluster(q.id.toInt)).distinct.sorted
-        assert(res.borderClusters(p.id.toInt).toSeq === want.toSeq, s"d=$d point ${p.id}")
-        if (want.length > 1) multi += 1
+      val graphs = Seq(BcpGraph, QtGraph, ApproxGraph(0.01)) ++ (if (d == 2) Seq(UsecGraph, DelaunayGraph) else Nil)
+      for (graph <- graphs; bucketing <- Seq(false, true); par <- 1 to 4) {
+        val clue = s"d=$d $graph bucketing=$bucketing p=$par"
+        val coreMethod = graph match { case QtGraph | ApproxGraph(_) => QtCore; case _ => ScanCore }
+        val cfg = DBSCANConfig(eps, minPts, GridCells, coreMethod, graph, bucketing, par)
+        val res = DBSCAN.run(spark, spark.sparkContext.parallelize(pts.toSeq, 4), d, cfg)
+        val core = pts.filter(p => res.isCore(p.id.toInt))
+        var multi = 0
+        for (p <- pts if !res.isCore(p.id.toInt)) {
+          val want = core.filter(q => Dist.leq(p.x, q.x, eps)).map(q => res.coreCluster(q.id.toInt)).distinct.sorted
+          assert(res.borderClusters(p.id.toInt).toSeq === want.toSeq, s"$clue point ${p.id}")
+          if (want.length > 1) multi += 1
+        }
+        assert(multi >= 5, s"$clue: $multi points border several clusters")
+        // With R = 2 rounds, the border pass still reports each point once.
+        if (bucketing && graph != DelaunayGraph) {
+          assert(res.stats.graph.numCoreCells > 2 * par, clue)
+          val ids = reported(pts, d, cfg)
+          assert(ids.sorted === pts.indices.filter(res.borderClusters(_).nonEmpty), clue)
+        }
       }
-      assert(multi >= 5, s"d=$d: $multi points border several clusters")
     }
   }
 

@@ -257,11 +257,13 @@ class DBSCANSpec extends SparkSpec {
 
   private def jobsOf[T](body: => T): (T, Int) = TestUtil.jobsOf(spark.sparkContext)(body)
 
-  test("a grid, scan run makes 4 jobs (3 with Delaunay), one more each with bucketing, QtCore and box cells") {
+  test("a run makes 3 jobs for every graph method, one more each with bucketing (not Delaunay), QtCore and box cells") {
     // Cells 1, MarkCore with the neighbor search and the connectivity
-    // set-up 1, ClusterCore 1 per round, ClusterBorder 1; Delaunay builds
-    // its cell graph on the driver. QtCore builds its cell quadtrees in a
-    // job, and box cells collect the coordinates for their boundaries.
+    // set-up 1, ClusterCore 1 per round, the last also running
+    // ClusterBorder's per-point test; Delaunay builds its cell graph on the
+    // driver and runs that test in a job of one round. QtCore builds its
+    // cell quadtrees in a job, and box cells collect the coordinates for
+    // their boundaries.
     val pts = TestUtil.blobPts(600, 2, 4, 2.0, 60.0, 0.2, 21L)
     val want = NaiveDBSCAN.run(pts, 3.0, 8)
     for (graph <- Seq(BcpGraph, UsecGraph, QtGraph, ApproxGraph(0.01), DelaunayGraph);
@@ -269,8 +271,22 @@ class DBSCANSpec extends SparkSpec {
       val cfg = DBSCANConfig(3.0, 8, cells, core, graph, bucketing)
       val (res, jobs) = jobsOf(DBSCAN.run(spark, rdd(pts), 2, cfg))
       val extra = Seq(bucketing && graph != DelaunayGraph, core == QtCore, cells == BoxCells).count(identity)
-      assert(jobs === (if (graph == DelaunayGraph) 3 else 4) + extra, s"$graph $cells $core bucketing=$bucketing")
+      assert(jobs === 3 + extra, s"$graph $cells $core bucketing=$bucketing")
       if (graph != ApproxGraph(0.01)) TestUtil.assertSameClustering(res, want)
+    }
+  }
+
+  test("a run with no core point makes only the cell and MarkCore jobs and returns all noise") {
+    // Points 10 apart with ε = 1: each point's ε-ball holds only itself.
+    val pts = Array.tabulate(200)(i => Pt(i, Array(10.0 * (i % 20), 10.0 * (i / 20))))
+    for (graph <- Seq(BcpGraph, UsecGraph, QtGraph, ApproxGraph(0.01), DelaunayGraph);
+         cells <- Seq(GridCells, BoxCells); bucketing <- Seq(false, true)) {
+      val clue = s"$graph $cells bucketing=$bucketing"
+      val (res, jobs) = jobsOf(DBSCAN.run(spark, rdd(pts), 2, DBSCANConfig(1.0, 2, cells, ScanCore, graph, bucketing)))
+      assert(jobs === (if (cells == BoxCells) 3 else 2), clue)
+      assert(res.numCore === 0 && res.numClusters === 0, clue)
+      assert(pts.indices.forall(res.isNoise), clue)
+      assert(res.stats.graph.queriesRun === 0, clue)
     }
   }
 

@@ -6,7 +6,8 @@ import org.apache.spark.TaskContext
 import repro.{SparkSpec, TestUtil}
 
 /** Partition-count policy (serial runs must really be serial), the one job
-  * primitive, and the per-cell Spark pass built on them. */
+  * primitive, and the per-cell Spark pass built on them, over one sequence
+  * or two. */
 class ParSpec extends SparkSpec {
 
   private def jobsOf[T](body: => T): (T, Int) = TestUtil.jobsOf(spark.sparkContext)(body)
@@ -55,6 +56,30 @@ class ParSpec extends SparkSpec {
     val sc = spark.sparkContext
     assert(jobsOf(Par.slices(sc, 500, par = 3)((from, until) => until - from))._2 === 1)
     val (empty, jobs) = jobsOf(Par.slices(sc, 0, par = 4)((from, until) => until - from))
+    assert(empty.isEmpty)
+    assert(jobs === 0)
+  }
+
+  test("slices2 cuts [0, n1) and [0, n2) into the same Par.parts(max(n1, n2), p) tasks, in order") {
+    val sc = spark.sparkContext
+    for ((n1, n2, par) <- Seq((500, 7, 3), (7, 500, 3), (3, 10, 4), (10, 3, 4), (5, 5, 2), (0, 9, 4),
+                              (9, 0, 4), (1, 1, 1), (300, 40, 0))) {
+      val clue = s"n1=$n1 n2=$n2 par=$par"
+      val (got, jobs) = jobsOf(Par.slices2(sc, n1, n2, par)((f1, u1, f2, u2) =>
+        (f1, u1, f2, u2, TaskContext.getPartitionId())))
+      val p = if (par > 0) par else sc.defaultParallelism
+      assert(jobs === 1, clue)
+      assert(got.length === Par.parts(math.max(n1, n2), p), clue)
+      assert(got.map(_._5).toSeq === got.indices, s"$clue: tasks")
+      for ((n, from, until) <- Seq((n1, got.map(_._1), got.map(_._2)), (n2, got.map(_._3), got.map(_._4)))) {
+        assert(from.head === 0 && until.last === n, s"$clue: bounds")
+        assert(from.indices.forall(t => from(t) <= until(t)), s"$clue: order")
+        assert(from.indices.tail.forall(t => from(t) == until(t - 1)), s"$clue: gaps")
+        val lengths = from.indices.map(t => until(t) - from(t))
+        assert(lengths.max - lengths.min <= 1, s"$clue: lengths ${lengths.mkString(", ")}")
+      }
+    }
+    val (empty, jobs) = jobsOf(Par.slices2(sc, 0, 0, par = 4)((f1, u1, f2, u2) => u1 - f1 + u2 - f2))
     assert(empty.isEmpty)
     assert(jobs === 0)
   }
