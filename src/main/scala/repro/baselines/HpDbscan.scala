@@ -37,12 +37,17 @@ object HpDbscan {
       else if (s == numSlabs) Double.PositiveInfinity
       else xs((s.toLong * n / numSlabs).toInt)
     }
-    def ownerOf(v: Double): Int = CellIndex.lastLeq(bounds, v)
-    // Replicate each point into every slab its ±ε extent touches.
+    // Replicate each point into every slab its ±ε extent touches: a slab
+    // holds no point within ε of x when its nearest bound is farther than ε
+    // from x on dimension 0, tested as `Dist.leq` tests that dimension (a
+    // float sum of non-negative terms is never below one of them).
+    val e2 = eps * eps
+    def near(a: Double, b: Double) = (a - b) * (a - b) <= e2
     val assignments = byId.iterator.flatMap { p =>
-      val o = ownerOf(p.x(0))
-      val lo = ownerOf(p.x(0) - eps)
-      val hi = ownerOf(p.x(0) + eps)
+      val x = p.x(0)
+      val o = CellIndex.lastLeq(bounds, x)
+      var lo = o; while (lo > 0 && near(x, bounds(lo))) lo -= 1
+      var hi = o; while (hi < numSlabs - 1 && near(bounds(hi + 1), x)) hi += 1
       (lo to hi).iterator.map(s => (s, (p, s == o)))
     }.toSeq
     val slabs = sc.parallelize(assignments, numSlabs).groupByKey(numSlabs).map { case (_, members) =>

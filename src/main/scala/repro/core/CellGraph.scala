@@ -246,14 +246,20 @@ object CellGraph {
     val a = if (scanAxis == 0) ctx.sortedBy0(g) else ctx.sortedBy1(g)
     val b = if (scanAxis == 0) ctx.sortedBy0(h) else ctx.sortedBy1(h)
     val eps = idx.eps
+    val e2 = eps * eps
+    // The window holds the b within ε of t on the scan axis, tested as
+    // `Dist.leq` tests that axis: a float sum of non-negative terms is never
+    // below one of them, so a b whose squared difference exceeds ε² fails
+    // it. Float subtraction and squaring are monotone, so the window slides.
+    def beyond(lo: Double, hi: Double) = lo < hi && (hi - lo) * (hi - lo) > e2
     var jLo = 0
     var i = 0
     while (i < a.length) {
       val pa = a(i).x
       val t = pa(scanAxis)
-      while (jLo < b.length && b(jLo).x(scanAxis) < t - eps) jLo += 1
+      while (jLo < b.length && beyond(b(jLo).x(scanAxis), t)) jLo += 1
       var j = jLo
-      while (j < b.length && b(j).x(scanAxis) <= t + eps) {
+      while (j < b.length && !beyond(t, b(j).x(scanAxis))) {
         if (Dist.leq(pa, b(j).x, eps)) return true
         j += 1
       }

@@ -17,7 +17,8 @@ import org.apache.spark.broadcast.Broadcast
   * components, and the driver maps the core cells each point reaches to
   * cluster ids after the last round's unions ([[assign]]).
   *
-  * Only the cells that hold a non-core point are visited.
+  * Only the cells that hold a non-core point and reach a core point, in
+  * themselves or a neighbor cell, are visited.
   */
 object ClusterBorder {
 
@@ -26,10 +27,24 @@ object ClusterBorder {
     * core cells. */
   private[core] type Hits = (Array[Int], Array[Int], Array[Int])
 
-  /** The cells that hold a non-core point, ascending. */
-  private[core] def cells(idx: CellIndex, flags: Array[Boolean]): Array[Int] = {
-    val (start, ids) = (idx.start, idx.ids)
-    Array.range(0, idx.numCells).filter(c => (start(c) until start(c + 1)).exists(p => !flags(ids(p))))
+  /** The cells that hold a non-core point and reach a core point,
+    * ascending: those holding a core point themselves or with a neighbor
+    * cell in `nb` that does. A non-core point looks only in its own cell
+    * and the neighbor cells, so no other cell holds a border point. */
+  private[core] def cells(idx: CellIndex, flags: Array[Boolean], nb: Neighbors): Array[Int] = {
+    val (start, ids, nbStart, nbrs) = (idx.start, idx.ids, nb.start, nb.nbrs)
+    val core = new Array[Int](idx.numCells) // each cell's core points
+    var c = 0; var p = 0
+    while (c < core.length) { // cells are contiguous position ranges from 0
+      while (p < start(c + 1)) { if (flags(ids(p))) core(c) += 1; p += 1 }
+      c += 1
+    }
+    def coreNeighbor(c: Int) = {
+      var k = nbStart(c)
+      while (k < nbStart(c + 1) && core(nbrs(k)) == 0) k += 1
+      k < nbStart(c + 1)
+    }
+    Array.range(0, idx.numCells).filter(c => core(c) < idx.size(c) && (core(c) > 0 || coreNeighbor(c)))
   }
 
   /** The hits of the non-core points of `cells[from, until)`: the core
@@ -110,9 +125,10 @@ object ClusterBorder {
   def run(sc: SparkContext, bcIdx: Broadcast[CellIndex], bcFlags: Broadcast[Array[Boolean]],
           bcComp: Broadcast[Array[Int]], minPts: Int, par: Int = 0): Array[Array[Int]] =
     Par.sharing(sc) { share =>
-      val bcNbrs = share(CellIndex.listsOf(bcIdx.value))
       val idx = bcIdx.value
-      val border = cells(idx, bcFlags.value)
+      val lists = CellIndex.listsOf(idx)
+      val bcNbrs = share(lists)
+      val border = cells(idx, bcFlags.value, lists)
       assign(idx.n.toInt, Par.slices(sc, border.length, par) { (from, until) =>
         val comp = bcComp.value
         hits(bcIdx.value, bcNbrs.value, bcFlags.value, comp(_), border, from, until)

@@ -29,8 +29,9 @@ final case class GraphStats(
   * before evaluation when it is already in one component: the component as
   * of the start of the round, joined by every link found earlier in the
   * round by its task (each task keeps one union-find per round, the nearest
-  * analogue of the paper's shared one). The driver unions each round's
-  * links before the next. With `bucketing` (paper §4.4) R = `numBuckets`,
+  * analogue of the paper's shared one), and the round's job carries that
+  * snapshot of the driver's union-find in its closure. The driver unions
+  * each round's links before the next. With `bucketing` (paper §4.4) R = `numBuckets`,
   * else R = 1. An owner sits in the same task, at the same position, in
   * both runs, and with bucketing it also sees every link any task found in
   * an earlier round, so bucketing never runs more queries than the plain
@@ -47,37 +48,40 @@ final case class GraphStats(
 object ClusterCore {
 
   /** [[run]] for an index that holds its neighbor lists (`CellIndex.grid`,
-    * `box2d`), without the border pass: broadcasts the lists for the call.
-    * Throws on the driver for an index without them. */
+    * `box2d`), without the border pass: broadcasts the flags, the context
+    * and the lists as one value for the call. Throws on the driver for an
+    * index without them. */
   def run(sc: SparkContext, bcIdx: Broadcast[CellIndex], bcFlags: Broadcast[Array[Boolean]],
           bcCtx: Broadcast[ConnCtx], method: GraphMethod, bucketing: Boolean,
           numBuckets: Int = DBSCANConfig.DefaultBuckets, par: Int = 0): (Array[Int], GraphStats) =
     Par.sharing(sc) { share =>
-      val (comp, stats, _) = run(sc, bcIdx, share(CellIndex.listsOf(bcIdx.value)), bcFlags, bcCtx, method,
-        bucketing, numBuckets, Array.emptyIntArray, par)
+      val lists = CellIndex.listsOf(bcIdx.value)
+      val (comp, stats, _) = run(sc, bcIdx, share((bcFlags.value, bcCtx.value, lists)), method, bucketing,
+        numBuckets, Array.emptyIntArray, par)
       (comp, stats)
     }
 
   /** Returns (cluster id per cell, dense in [0, k) in cell order, -1 for
     * non-core cells; stats; the hits of the non-core points of the cells
-    * `border`, one block per last-round task), the cells' neighbor lists
-    * read from `bcNbrs`. */
-  def run(sc: SparkContext, bcIdx: Broadcast[CellIndex], bcNbrs: Broadcast[Neighbors],
-          bcFlags: Broadcast[Array[Boolean]], bcCtx: Broadcast[ConnCtx], method: GraphMethod,
+    * `border`, one block per last-round task), from MarkCore's output
+    * `bcMarked`: the core flags, the context and the cells' neighbor lists
+    * ([[MarkCore.withCtx]]). */
+  def run(sc: SparkContext, bcIdx: Broadcast[CellIndex],
+          bcMarked: Broadcast[(Array[Boolean], ConnCtx, Neighbors)], method: GraphMethod,
           bucketing: Boolean, numBuckets: Int, border: Array[Int],
           par: Int): (Array[Int], GraphStats, Array[ClusterBorder.Hits]) = {
     val idx = bcIdx.value
-    val ctx = bcCtx.value
+    val (flags, ctx, _) = bcMarked.value
     val m = idx.numCells
     val uf = new UnionFind(m)
-    val delaunay = if (method == DelaunayGraph) Some(runDelaunay(idx, bcFlags.value, ctx, uf)) else None
+    val delaunay = if (method == DelaunayGraph) Some(runDelaunay(idx, flags, ctx, uf)) else None
     // Core cells by core count, descending (paper's SortBySize), ties by
     // id: each packed as (−count, id) into one Long, for a primitive sort.
     val packed = new scala.collection.mutable.ArrayBuilder.ofLong
     var c = 0
     while (c < m) { if (ctx.coreCount(c) > 0) packed += (-ctx.coreCount(c).toLong << 32) | c; c += 1 }
     val keys = packed.result()
-    java.util.Arrays.sort(keys)
+    if (delaunay.isEmpty) java.util.Arrays.sort(keys)
     val order = new Array[Int](if (delaunay.isEmpty) keys.length else 0) // Delaunay's round: no owners
     c = 0
     while (c < order.length) { order(c) = keys(c).toInt; c += 1 } // the low half: the id
@@ -95,36 +99,36 @@ object ClusterCore {
       // of the start of the round, joined by every link the task found
       // earlier in the round — are already connected. Tasks evaluate in
       // parallel. The border cells are tested once, in the last round.
+      // The snapshot (m ints) rides in the job's closure, as `order` and
+      // the border cells do: Spark ships a stage's closure to each task
+      // anyway, and a broadcast of it would cost one more per round.
       val cells = if (j == rounds - 1) border else Array.emptyIntArray
-      val blocks = Par.sharing(sc) { share =>
-        val bcSnap = share(uf.roots())
-        Par.slices2(sc, order.length, cells.length, par) { (from, until, bFrom, bUntil) =>
-          val (i, nb, c, fl, snap, local) =
-            (bcIdx.value, bcNbrs.value, bcCtx.value, bcFlags.value, bcSnap.value, new UnionFind(m))
-          val links = new scala.collection.mutable.ArrayBuilder.ofInt // (owner, neighbor) pairs
-          var candidates = 0L; var queries = 0L
-          val len = (until - from).toLong
-          for (g <- order.slice(from + (len * j / rounds).toInt, from + (len * (j + 1) / rounds).toInt)) {
-            var k = nb.start(g)
-            while (k < nb.start(g + 1)) {
-              val h = nb.nbrs(k)
-              if (c.coreCount(h) > c.coreCount(g) || (c.coreCount(h) == c.coreCount(g) && h < g)) {
-                candidates += 1
-                if (local.find(snap(g)) != local.find(snap(h))) {
-                  queries += 1
-                  if (CellGraph.connected(i, c, method, g, h, fl)) {
-                    local.union(snap(g), snap(h))
-                    links.addOne(g).addOne(h)
-                  }
+      val snap = uf.roots()
+      val blocks = Par.slices2(sc, order.length, cells.length, par) { (from, until, bFrom, bUntil) =>
+        val (i, (fl, c, nb), local) = (bcIdx.value, bcMarked.value, new UnionFind(m))
+        val links = new scala.collection.mutable.ArrayBuilder.ofInt // (owner, neighbor) pairs
+        var candidates = 0L; var queries = 0L
+        val len = (until - from).toLong
+        for (g <- order.slice(from + (len * j / rounds).toInt, from + (len * (j + 1) / rounds).toInt)) {
+          var k = nb.start(g)
+          while (k < nb.start(g + 1)) {
+            val h = nb.nbrs(k)
+            if (c.coreCount(h) > c.coreCount(g) || (c.coreCount(h) == c.coreCount(g) && h < g)) {
+              candidates += 1
+              if (local.find(snap(g)) != local.find(snap(h))) {
+                queries += 1
+                if (CellGraph.connected(i, c, method, g, h, fl)) {
+                  local.union(snap(g), snap(h))
+                  links.addOne(g).addOne(h)
                 }
               }
-              k += 1
             }
+            k += 1
           }
-          (links.result(), candidates, queries,
-            ClusterBorder.hits(i, nb, fl, h => if (c.coreCount(h) > 0) local.find(snap(h)) else -1, cells,
-              bFrom, bUntil))
         }
+        (links.result(), candidates, queries,
+          ClusterBorder.hits(i, nb, fl, h => if (c.coreCount(h) > 0) local.find(snap(h)) else -1, cells,
+            bFrom, bUntil))
       }
       blocks.foreach { case (links, c, q, h) =>
         candidate += c

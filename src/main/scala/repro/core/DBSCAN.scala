@@ -84,8 +84,8 @@ object DBSCANConfig {
   * cells and the index's broadcast, not the neighbor search; `markCoreMs`
   * covers the cell quadtrees (QtCore) and MarkCore's job, which also finds
   * the neighbor lists (its k-d tree built and broadcast on the driver
-  * included) and sets up the connectivity context, and the broadcasts of
-  * the flags, the context and the lists; `clusterCoreMs` covers the cell
+  * included) and sets up the connectivity context, and the one broadcast
+  * of its output (the flags, the context and the lists); `clusterCoreMs` covers the cell
   * graph and its components, and ClusterBorder's per-point test, which
   * runs in the cell graph's last job; `clusterBorderMs` covers only the
   * driver's mapping of the core cells each border point reaches to
@@ -235,14 +235,16 @@ object DBSCAN {
         case QtCore   => Some(share(MarkCore.buildCellQuadTrees(sc, bcIdx, par)))
         case ScanCore => None
       }
-      val (flags, ctx, lists) = MarkCore.withCtx(sc, bcIdx, cfg.minPts, bcQt, cfg.graphMethod, par)
-      val (bcFlags, bcCtx, bcNbrs) = (share(flags), share(ctx), share(lists))
+      // MarkCore's output, handed to ClusterCore as one broadcast (paper
+      // Alg. 1: written to shared memory once).
+      val marked @ (flags, _, lists) = MarkCore.withCtx(sc, bcIdx, cfg.minPts, bcQt, cfg.graphMethod, par)
+      val bcMarked = share(marked)
       val markMs = (System.nanoTime() - t0) / 1000000
 
       t0 = System.nanoTime()
       val (cellCluster, gStats, hits) =
-        ClusterCore.run(sc, bcIdx, bcNbrs, bcFlags, bcCtx, cfg.graphMethod, cfg.bucketing,
-          cfg.numBuckets, ClusterBorder.cells(idx, flags), par)
+        ClusterCore.run(sc, bcIdx, bcMarked, cfg.graphMethod, cfg.bucketing, cfg.numBuckets,
+          ClusterBorder.cells(idx, flags, lists), par)
       val coreMs = (System.nanoTime() - t0) / 1000000
 
       t0 = System.nanoTime()

@@ -152,7 +152,8 @@ class BroadcastLeakSpec extends SparkSpec {
     def run() = DBSCAN.run(spark, spark.sparkContext.parallelize(pts2d.toSeq, 4), 2, cfg)
     var res: DBSCANResult = null
     val jobs = jobsOf { res = run() }
-    // Both buckets hold core cells, so ClusterCore runs two jobs and two snapshots.
+    // Both buckets hold core cells, so ClusterCore runs two jobs, each
+    // shipping its union-find snapshot in its closure.
     assert(res.stats.graph.numCoreCells >= cfg.numBuckets)
     assert(jobs >= 4, s"$jobs jobs") // cells 1, MarkCore 1, buckets 2 (ClusterBorder's test in the last)
     for (k <- 1 to jobs) withClue(s"job $k of $jobs: ") {

@@ -25,6 +25,19 @@ class HpDbscanSpec extends SparkSpec {
     TestUtil.assertSameClustering(got, NaiveDBSCAN.run(pts, 1.0, 3))
   }
 
+  test("a slab's halo holds a point that Dist.leq puts within eps of its slab's points") {
+    // q lies just past the rounded x + eps, yet the distance test accepts
+    // the pair; with 2 slabs the boundary is q's x. Both points are core.
+    for ((x, eps) <- Seq((-2.6929631147332174, 2.162778592980103), (-3.416679310379834, 3.579335989864997))) {
+      val q = math.nextUp(x + eps)
+      val pts = Array(repro.core.Pt(0, Array(x, 0.0)), repro.core.Pt(1, Array(q, 0.0)))
+      assert(repro.core.Dist.leq(pts(0).x, pts(1).x, eps))
+      val got = HpDbscan.run(spark, pts, eps, minPts = 2, numSlabs0 = 2)
+      TestUtil.assertSameClustering(got, NaiveDBSCAN.run(pts, eps, 2))
+      assert(got.isCore.forall(identity), s"x=$x eps=$eps")
+    }
+  }
+
   test("slabs narrower than eps still produce exact results") {
     val pts = TestUtil.blobPts(300, 2, 2, 1.5, 20.0, 0.2, 31L)
     val got = HpDbscan.run(spark, pts, eps = 5.0, minPts = 10, numSlabs0 = 16)

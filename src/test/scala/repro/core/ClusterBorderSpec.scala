@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.{Oracle, SparkSpec, TestUtil}
-import repro.baselines.{HpDbscan, PdsDbscan}
+import repro.baselines.{HpDbscan, NaiveDBSCAN, PdsDbscan}
 
 /** ClusterBorder (paper Alg. 4): border membership vs the DuckDB definition
   * — every cluster containing a core point within ε of the border point. */
@@ -63,9 +63,9 @@ class ClusterBorderSpec extends SparkSpec {
         case QtCore   => Some(share(MarkCore.buildCellQuadTrees(sc, bcIdx, cfg.parallelism)))
         case ScanCore => None
       }
-      val (flags, ctx, lists) = MarkCore.withCtx(sc, bcIdx, cfg.minPts, bcQt, cfg.graphMethod, cfg.parallelism)
-      val (_, _, hits) = ClusterCore.run(sc, bcIdx, share(lists), share(flags), share(ctx), cfg.graphMethod,
-        cfg.bucketing, cfg.numBuckets, ClusterBorder.cells(idx, flags), cfg.parallelism)
+      val marked @ (flags, _, lists) = MarkCore.withCtx(sc, bcIdx, cfg.minPts, bcQt, cfg.graphMethod, cfg.parallelism)
+      val (_, _, hits) = ClusterCore.run(sc, bcIdx, share(marked), cfg.graphMethod, cfg.bucketing,
+        cfg.numBuckets, ClusterBorder.cells(idx, flags, lists), cfg.parallelism)
       hits.toSeq.flatMap(_._1.toSeq)
     }
   }
@@ -98,6 +98,28 @@ class ClusterBorderSpec extends SparkSpec {
         }
       }
     }
+  }
+
+  test("the border pass skips the cells of non-core points that reach no core cell") {
+    // A 10 x 10 lattice of core points, a border point alone in a cell next
+    // to it, and far off a small group of points too few to hold a core
+    // point: their cells and all their neighbors hold no core point.
+    val lattice = for (i <- 0 until 10; j <- 0 until 10) yield Array(0.1 * i, 0.1 * j)
+    val far = (0 until 5).map(i => Array(50.0 + 0.1 * i, 50.0))
+    val pts = (lattice ++ Seq(Array(1.85, 0.5)) ++ far).zipWithIndex.map { case (x, i) => Pt(i, x) }.toArray
+    val (borderPt, farPts) = (100, 101 until 106)
+    val (eps, minPts) = (1.0, 20)
+    val sc = spark.sparkContext
+    val idx = CellIndex.cells(sc.parallelize(pts.toSeq, 4), eps, 2, GridCells, 0)
+    val bcIdx = sc.broadcast(idx)
+    val (flags, _, lists) = try MarkCore.withCtx(sc, bcIdx, minPts, None, BcpGraph) finally bcIdx.destroy()
+    val cellOf = TestUtil.cellOf(idx)
+    val border = ClusterBorder.cells(idx, flags, lists)
+    assert(border.toSeq === Seq(cellOf(borderPt)))
+    assert(farPts.forall(p => !flags(p)) && (0 until 100).forall(flags(_)) && !flags(borderPt))
+    val res = DBSCAN.run(spark, sc.parallelize(pts.toSeq, 4), 2, DBSCANConfig(eps, minPts))
+    TestUtil.assertSameClustering(res, NaiveDBSCAN.run(pts, eps, minPts))
+    assert(res.borderClusters(borderPt).length === 1 && farPts.forall(res.isNoise))
   }
 
   test("noise points get no clusters") {

@@ -290,6 +290,44 @@ class DBSCANSpec extends SparkSpec {
     }
   }
 
+  /** `body`'s result and the number of broadcasts it creates, less one
+    * task binary per stage it submits. */
+  private def broadcastsOf[T](body: => T): (T, Int) = {
+    val sc = spark.sparkContext
+    def lastId() = { val b = sc.broadcast(0); b.destroy(); b.id } // the id of the latest broadcast
+    val stages = new java.util.concurrent.atomic.AtomicInteger
+    var ids = 0L
+    val out = TestUtil.listening(sc)(group => new SparkListener {
+      override def onStageSubmitted(e: SparkListenerStageSubmitted): Unit =
+        if (TestUtil.jobGroup(e.properties) == group) stages.incrementAndGet()
+    }) {
+      val before = lastId()
+      val out = body
+      ids = lastId() - before - 1
+      out
+    }
+    (out, (ids - stages.get).toInt)
+  }
+
+  test("a run makes 3 broadcasts for every graph method, one more each with QtCore and box cells") {
+    // The index, MarkCore's k-d tree over the cell boxes and MarkCore's
+    // output (flags, context and lists as one value); QtCore's cell
+    // quadtrees and box cells' boundaries add one each. A ClusterCore
+    // round's union-find snapshot rides in its job's closure, so bucketing
+    // adds none. With no core point, no round runs.
+    val blobs = TestUtil.blobPts(600, 2, 4, 2.0, 60.0, 0.2, 21L)
+    val sparse = Array.tabulate(200)(i => Pt(i, Array(10.0 * (i % 20), 10.0 * (i / 20))))
+    for ((pts, eps, minPts) <- Seq((blobs, 3.0, 8), (sparse, 1.0, 2));
+         graph <- Seq(BcpGraph, UsecGraph, QtGraph, ApproxGraph(0.01), DelaunayGraph);
+         cells <- Seq(GridCells, BoxCells); core <- Seq(ScanCore, QtCore); bucketing <- Seq(false, true)) {
+      val clue = s"${pts.length} points $graph $cells $core bucketing=$bucketing"
+      val (res, made) = broadcastsOf(DBSCAN.run(spark, rdd(pts), 2, DBSCANConfig(eps, minPts, cells, core, graph,
+        bucketing)))
+      assert(made === 3 + Seq(core == QtCore, cells == BoxCells).count(identity), clue)
+      assert((res.numClusters > 0) === (pts eq blobs), clue)
+    }
+  }
+
   test("USEC and Delaunay reject d != 2 before any job runs") {
     val pts = TestUtil.blobPts(300, 3, 2, 2.0, 40.0, 0.1, 6L)
     for ((graph, name) <- Seq(UsecGraph -> "USEC", DelaunayGraph -> "Delaunay")) {

@@ -140,6 +140,23 @@ class DifferentialSpec extends SparkSpec {
     }
   }
 
+  test("both USEC variants == naive on a pair just past the rounded bounds of the scan window") {
+    // x = -1e-300 and 0 put the points in two cells with a zero x term; y is
+    // the first double above t + eps, yet the distance test accepts the pair,
+    // and t lies below the rounded y - eps too.
+    for ((t, e) <- Seq((-1.732508522038529, 4.379240568077096), (-1.1586059033954257, 2.4912629621723132))) {
+      val input = pts(Seq(Array(-1e-300, t), Array(0.0, math.nextUp(t + e))))
+      assert(Dist.leq(input(0).x, input(1).x, e) && t < input(1).x(1) - e)
+      val want = NaiveDBSCAN.run(input, e, 1)
+      assert(want.numClusters === 1)
+      for (name <- Seq("our-2d-grid-usec", "our-2d-box-usec")) {
+        val got = DBSCAN.run(spark, spark.sparkContext.parallelize(input.toSeq, 2), 2,
+          DBSCANConfig.named(name, e, 1, rho).get)
+        withClue(s"$name t=$t eps=$e: ")(TestUtil.assertSameClustering(got, want))
+      }
+    }
+  }
+
   test("every exact grid algorithm == naive on random points, d=1") {
     val input = TestUtil.uniformPts(300, 1, 60.0, 5L)
     for ((name, run) <- algorithms(1) if !approximate(name)) check(name, run, input)
