@@ -27,8 +27,9 @@ object HpDbscan {
     val sc = spark.sparkContext
     val byId = CellIndex.byId(pts, eps, minPts)
     val n = byId.length
-    val numSlabs = if (numSlabs0 > 0) numSlabs0
-      else math.max(1, math.min(Par.threads(sc, 0) * 2, n / 2048))
+    val numSlabs = math.max(1,
+      if (numSlabs0 > 0) math.min(numSlabs0, n) // a quantile bound needs a point
+      else math.min(Par.threads(sc, 0) * 2, n / 2048))
 
     // Quantile slab boundaries on dim 0: slab s covers [bounds(s), bounds(s+1)).
     val xs = byId.map(_.x(0)).sorted

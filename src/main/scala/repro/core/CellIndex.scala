@@ -1,9 +1,10 @@
 package repro.core
 
+import java.lang.Double.{doubleToLongBits, longBitsToDouble}
 import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 import scala.reflect.ClassTag
-import org.apache.spark.{HashPartitioner, SparkContext}
+import org.apache.spark.SparkContext
 import org.apache.spark.rdd.RDD
 import repro.geometry.KDTree
 
@@ -25,22 +26,22 @@ import repro.geometry.KDTree
   * own cells' lists (see `ConnCtx.pass`). `grid` and `box2d` find the lists
   * in a job of their own and return an index that holds them.
   *
-  * Cells are disjoint with per-dimension extent ≤ ε/√d, so all points inside
-  * one cell are within ε of each other — the invariant both MarkCore's
-  * all-core shortcut and ClusterCore's cell graph rely on.
+  * Cells are disjoint with a float extent ≤ `sideFor(ε, d)` on every axis,
+  * so all points inside one cell are within ε of each other by `Dist.leq`
+  * — the invariant MarkCore's all-core shortcut, ClusterCore's cell graph
+  * and ClusterBorder rely on; the construction checks each cell's diagonal.
   *
   * The index is built distributed and then broadcast, emulating shared
   * memory on the single-node cluster: per-cell tasks get random access to
-  * any neighboring cell's points. The grouping is the paper's semisort as
-  * one Spark shuffle on primitive keys: map tasks number their cell keys (d
-  * ints each) in an open-addressing [[KeyTable]], hash them to r reducers
-  * and send each reducer one flat block; reducers group their blocks into
-  * cells the same way and bound the cells' boxes; the driver concatenates
-  * the r results (see `CellIndex.build`). Cells come in the order of their
-  * reducer, and within a reducer in the order first seen. The index holds
-  * only scalars and primitive arrays, so Java serialization is already a
-  * compact broadcast format. The per-cell accessors slice on every call;
-  * hot loops read the flat arrays.
+  * any neighboring cell's points. The grouping is the paper's semisort on
+  * primitive keys in one Spark stage: map tasks number their cell keys (d
+  * ints each) in an open-addressing [[KeyTable]] and each return one flat
+  * block of their points grouped by cell; the driver merges the r blocks
+  * the same way and bounds the cells' boxes (see `CellIndex.build`). Cells
+  * come grouped by `floorMod(KeyTable.hash(key), r)`, and within a group in
+  * the order first seen. The index holds only scalars and primitive
+  * arrays, so Java serialization is already a compact broadcast format. The
+  * per-cell accessors slice on every call; hot loops read the flat arrays.
   */
 final class CellIndex(
     val eps: Double,
@@ -96,8 +97,17 @@ final class Neighbors(val counts: Array[Int], val nbrs: Array[Int]) extends Seri
 
 object CellIndex {
 
-  /** Cell side length ε/√d (diagonal exactly ε). */
-  def sideFor(eps: Double, d: Int): Double = eps / math.sqrt(d.toDouble)
+  /** Cell side length: the largest double s ≤ ε/√d whose d-fold float sum
+    * of s·s is ≤ ε·ε, so that a box of float extent ≤ s on every axis passes
+    * `Dist.leq`'s sum: float subtraction, squaring and adding are monotone,
+    * so every pair of points inside it is within ε. Found by bisection over
+    * the bits of the non-negative doubles, which order as the doubles do. */
+  def sideFor(eps: Double, d: Int): Double = {
+    def fits(bits: Long) = { val s = longBitsToDouble(bits); (0 until d).foldLeft(0.0)((sum, _) => sum + s * s) <= eps * eps }
+    var (lo, hi) = (0L, doubleToLongBits(eps / math.sqrt(d.toDouble)) + 1) // fits(lo); the side is below hi
+    while (hi - lo > 1) { val mid = (lo + hi) >>> 1; if (fits(mid)) lo = mid else hi = mid }
+    longBitsToDouble(lo)
+  }
 
   /** Integer grid key of a point. Throws when a coordinate lies 2^31 or more
     * cells from the origin, where the key would not fit an Int. */
@@ -133,11 +143,11 @@ object CellIndex {
 
   /** The cells of `method`, without neighbor lists: the index a run
     * broadcasts, whose MarkCore job finds the lists. Grid cells are the
-    * points' `gridKey`s. Box cells are x-strips of width ≤ ε/√2, then
-    * y-boxes of height ≤ ε/√2 inside each strip, with the boundaries the
-    * paper's pointer-jumping computes: a new strip starts at the first point
-    * more than ε/√2 past the current strip start. Every stage runs at most
-    * `Par.parts(·, par)` tasks. */
+    * points' `gridKey`s. Box cells are x-strips of width ≤ s, then y-boxes
+    * of height ≤ s inside each strip, s being `sideFor(ε, 2)`, with the
+    * boundaries the paper's pointer-jumping computes: a new strip starts at
+    * the first point whose float difference from the current strip start
+    * exceeds s. Every stage runs at most `Par.parts(·, par)` tasks. */
   private[core] def cells(points: RDD[Pt], eps: Double, d: Int, method: CellMethod, par: Int): CellIndex = {
     val side = sideFor(eps, d)
     val pts = Par.coalesce(points, par)
@@ -195,77 +205,58 @@ object CellIndex {
     * offset of an array, and lays the index out; shared by both
     * constructions.
     *
-    * The grouping is the paper's semisort (§4.1; Gu et al., SPAA 2015): keys
-    * hash to r buckets, r being `points`' partition count, and each bucket
-    * is grouped in a task of its own. Each map task numbers its keys with a
-    * [[KeyTable]] and sends reducer b one flat [[Piece]] with its cells whose
-    * key hashes to b (`floorMod(KeyTable.hash(key), r)`), so it writes at
-    * most r shuffle records however many cells it holds. Each reducer
-    * numbers its pieces' keys the same way, in map order, so the order of
-    * cells (first seen first) and of points is deterministic, and bounds its
-    * cells' boxes. Both sides place the points by one counting [[scatter]].
-    * The driver concatenates the r results. */
-  private def build(points: RDD[Pt], eps: Double, d: Int)(
-      key: (Pt, Array[Int], Int) => Unit): CellIndex = {
-    val r = points.getNumPartitions
-    val parts = Par.collect(points
-      .mapPartitionsWithIndex((map, it) => pieces(map, it, d, r)((p, k, off) => key(checked(p, d), k, off)))
-      .partitionBy(new HashPartitioner(r)))(it => Array(merge(it.map(_._2).toArray, d)))
-    val ids = cat(parts)(_.ids)
-    requireDense(ids.length)(ids(_))
-    val (lo, hi) = (cat(parts)(_.lo), cat(parts)(_.hi))
-    new CellIndex(eps, sideFor(eps, d), d, cat(parts)(_.sizes), ids, cat(parts)(_.coords), lo, hi, null)
-  }
+    * The grouping is the paper's semisort (§4.1; Gu et al., SPAA 2015) in one
+    * Spark stage: each map task numbers its keys with a [[KeyTable]] and
+    * returns its points grouped by cell as one flat [[Block]], and the driver
+    * merges the r blocks (`merge`), r being `points`' partition count. */
+  private def build(points: RDD[Pt], eps: Double, d: Int)(key: (Pt, Array[Int], Int) => Unit): CellIndex =
+    merge(Par.collect(points)(it => Array(block(it, d)((p, k, off) => key(checked(p, d), k, off)))), eps, d,
+      points.getNumPartitions)
 
   /** `f` of each of `xs`, concatenated. */
   private[core] def cat[A, T: ClassTag](xs: Array[A])(f: A => Array[T]): Array[T] =
     Array.concat(ArraySeq.unsafeWrapArray(xs.map(f)): _*)
 
-  /** Map task `map`'s cells bound for one reducer: per cell, its key (d
-    * ints) and size; per point, in cell order, its id and d coordinates. */
-  private final class Piece(val map: Int, val keys: Array[Int], val sizes: Array[Int],
-                            val ids: Array[Int], val coords: Array[Double]) extends Serializable
+  /** Points grouped into runs: per run, its key (d ints) and size; per
+    * point, in run order, its id and d coordinates. */
+  private final class Block(val keys: Array[Int], val sizes: Array[Int], val ids: Array[Int],
+                            val coords: Array[Double]) extends Serializable
 
-  /** A reducer's cells, laid out as the index lays them out: sizes, ids and
-    * coordinates in cell order, and each cell's tight box. */
-  private final class Cells(val sizes: Array[Int], val ids: Array[Int], val coords: Array[Double],
-                            val lo: Array[Double], val hi: Array[Double]) extends Serializable
-
-  /** Map task `map`'s points grouped by key, as one (reducer, piece) per
-    * reducer that gets a cell, each piece's cells in first-seen order. */
-  private def pieces(map: Int, it: Iterator[Pt], d: Int, r: Int)(
-      key: (Pt, Array[Int], Int) => Unit): Iterator[(Int, Piece)] = {
+  /** A map task's points grouped by key, one run per cell, the cells in
+    * first-seen order. */
+  private def block(it: Iterator[Pt], d: Int)(key: (Pt, Array[Int], Int) => Unit): Block = {
     val pts = it.toArray
     val n = pts.length
     val (keys, xs, ids) = (new Array[Int](n * d), new Array[Double](n * d), new Array[Int](n))
     var i = 0
     while (i < n) { key(pts(i), keys, i * d); System.arraycopy(pts(i).x, 0, xs, i * d, d); ids(i) = pts(i).id.toInt; i += 1 }
     val t = new KeyTable(keys, d, n)
-    val (sizes, cellIds, coords) = scatter(t.size, t.cellOf, Array.fill(n)(1), ids, xs, d)
-    val out = Array.fill(r)((new mutable.ArrayBuilder.ofInt, new mutable.ArrayBuilder.ofInt,
-      new mutable.ArrayBuilder.ofInt, new mutable.ArrayBuilder.ofDouble))
-    var (c, p) = (0, 0)
-    while (c < t.size) {
-      val (ks, ss, is, cs) = out(Math.floorMod(KeyTable.hash(keys, t.first(c) * d, d), r))
-      ks.addAll(keys, t.first(c) * d, d); ss.addOne(sizes(c))
-      is.addAll(cellIds, p, sizes(c)); cs.addAll(coords, p * d, sizes(c) * d)
-      p += sizes(c); c += 1
-    }
-    Iterator.range(0, r).filter(out(_)._2.length > 0).map { b =>
-      val (ks, ss, is, cs) = out(b)
-      (b, new Piece(map, ks.result(), ss.result(), is.result(), cs.result()))
-    }
+    val cellKeys = new Array[Int](t.size * d)
+    for (c <- 0 until t.size) System.arraycopy(keys, t.first(c) * d, cellKeys, c * d, d)
+    val (sizes, cellIds, coords) = scatter(t.size, t.cellOf, Array(new Block(keys, Array.fill(n)(1), ids, xs)), d)
+    new Block(cellKeys, sizes, cellIds, coords)
   }
 
-  /** One reducer's pieces merged by key, each cell's points in map order,
-    * and each cell's tight box. The boxes make the comparisons `BBox.of`
-    * makes in the same order, so they equal its boxes bit for bit. */
-  private def merge(in: Array[Piece], d: Int): Cells = {
-    val ps = in.sortBy(_.map)
-    val runs = cat(ps)(_.sizes)
-    val t = new KeyTable(cat(ps)(_.keys), d, runs.length)
+  /** The index of the r map tasks' blocks, merged by key on the driver:
+    * each cell's points in block order, and each cell's tight box. Cells
+    * come grouped by `floorMod(KeyTable.hash(key), r)`, and first seen
+    * first within a group: hash order spreads dense cells over the equal
+    * ranges of cell ids that the per-cell passes cut. The boxes make the
+    * comparisons `BBox.of` makes in the same order, so they equal its boxes
+    * bit for bit. Throws an `IllegalStateException` naming the cell if a
+    * box's diagonal fails `Dist.leq` at ε: every later phase relies on any
+    * two points of a cell being within ε. */
+  private def merge(blocks: Array[Block], eps: Double, d: Int, r: Int): CellIndex = {
+    val keys = cat(blocks)(_.keys)
+    val t = new KeyTable(keys, d, keys.length / d)
     val m = t.size
-    val (sizes, ids, coords) = scatter(m, t.cellOf, runs, cat(ps)(_.ids), cat(ps)(_.coords), d)
+    val group = Array.tabulate(m)(c => Math.floorMod(KeyTable.hash(keys, t.first(c) * d, d), r))
+    val next = new Array[Int](r + 1)
+    group.foreach(g => next(g + 1) += 1)
+    for (g <- 1 until r) next(g) += next(g - 1)
+    val order = group.map { g => next(g) += 1; next(g) - 1 }
+    val (sizes, ids, coords) = scatter(m, t.cellOf.map(order), blocks, d)
+    requireDense(ids.length)(ids(_))
     val lo = Array.fill(m * d)(Double.PositiveInfinity)
     val hi = Array.fill(m * d)(Double.NegativeInfinity)
     var c = 0; var k = 0
@@ -277,30 +268,36 @@ object CellIndex {
         if (coords(k) > hi(b)) hi(b) = coords(k)
         k += 1
       }
+      if (!Dist.leq(lo, c * d, hi, c * d, d, eps)) throw new IllegalStateException(
+        s"cell $c spans [${lo.slice(c * d, c * d + d).mkString(", ")}] to [${hi.slice(c * d, c * d + d).mkString(", ")}]: " +
+          s"its points are not all within eps = $eps of each other")
       c += 1
     }
-    new Cells(sizes, ids, coords, lo, hi)
+    new CellIndex(eps, sideFor(eps, d), d, sizes, ids, coords, lo, hi, null)
   }
 
-  /** Runs of points laid out by cell, by one counting pass: run i holds the
-    * `runs(i)` points after the earlier runs' points in `ids` and `coords`
-    * (d values each) and belongs to cell `cellOf(i)` of m. Returns each
-    * cell's size, and the ids and coordinates in cell order, each cell's
-    * points in run order. */
-  private def scatter(m: Int, cellOf: Array[Int], runs: Array[Int], ids: Array[Int], coords: Array[Double],
-                      d: Int): (Array[Int], Array[Int], Array[Double]) = {
+  /** The runs of `blocks` laid out by cell, by one counting pass: run i,
+    * counted over the blocks in order, belongs to cell `cellOf(i)` of m.
+    * Returns each cell's size, and the ids and coordinates in cell order,
+    * each cell's points in run order. */
+  private def scatter(m: Int, cellOf: Array[Int], blocks: Array[Block], d: Int): (Array[Int], Array[Int], Array[Double]) = {
     val sizes = new Array[Int](m)
     var i = 0
-    while (i < runs.length) { sizes(cellOf(i)) += runs(i); i += 1 }
+    for (b <- blocks) {
+      var j = 0
+      while (j < b.sizes.length) { sizes(cellOf(i)) += b.sizes(j); i += 1; j += 1 }
+    }
     val next = sizes.scanLeft(0)(_ + _)
-    val (outIds, outXs) = (new Array[Int](ids.length), new Array[Double](coords.length))
-    var from = 0
+    val (outIds, outXs) = (new Array[Int](next(m)), new Array[Double](next(m) * d))
     i = 0
-    while (i < runs.length) {
-      val (to, len) = (next(cellOf(i)), runs(i))
-      System.arraycopy(ids, from, outIds, to, len)
-      System.arraycopy(coords, from * d, outXs, to * d, len * d)
-      next(cellOf(i)) += len; from += len; i += 1
+    for (b <- blocks) {
+      var j = 0; var from = 0
+      while (j < b.sizes.length) {
+        val (to, len) = (next(cellOf(i)), b.sizes(j))
+        System.arraycopy(b.ids, from, outIds, to, len)
+        System.arraycopy(b.coords, from * d, outXs, to * d, len * d)
+        next(cellOf(i)) += len; from += len; i += 1; j += 1
+      }
     }
     (sizes, outIds, outXs)
   }
@@ -377,12 +374,13 @@ object CellIndex {
     out
   }
 
-  /** Starts of consecutive intervals of width `side` over sorted values. */
+  /** Starts of consecutive intervals over sorted values: each holds the
+    * values whose float difference from its start is ≤ `side`. */
   private def boundaries(sorted: Array[Double], side: Double): Array[Double] = {
     val out = scala.collection.mutable.ArrayBuffer[Double]()
     var i = 0
     while (i < sorted.length) {
-      if (out.isEmpty || sorted(i) > out.last + side) out += sorted(i)
+      if (out.isEmpty || sorted(i) - out.last > side) out += sorted(i)
       i += 1
     }
     out.toArray
@@ -435,9 +433,9 @@ private[core] object KeyTable {
   /** Slots for `count` keys: a power of two, more than twice `count`. */
   def capacity(count: Int): Int = Integer.highestOneBit(math.max(count, 1)) * 4
 
-  /** The d ints at offset `off` of `keys` mixed into one `Long`. A key's
-    * reducer is `floorMod(hash, r)` and its first slot comes from the high
-    * 32 bits, so the keys one reducer gets still spread over its table. */
+  /** The d ints at offset `off` of `keys` mixed into one `Long`. A cell's
+    * group in the index's cell order is `floorMod(hash, r)` and a key's first
+    * slot comes from the high 32 bits, so the two do not follow each other. */
   def hash(keys: Array[Int], off: Int, d: Int): Long = {
     var h = 0L; var j = 0
     while (j < d) { h = (h + (keys(off + j) & 0xFFFFFFFFL)) * 0x9E3779B97F4A7C15L; j += 1 }

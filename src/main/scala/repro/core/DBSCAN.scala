@@ -5,7 +5,7 @@ import scala.collection.mutable.ArrayBuffer
 import scala.reflect.ClassTag
 import org.apache.spark.{NarrowDependency, SparkContext, TaskContext}
 import org.apache.spark.broadcast.Broadcast
-import org.apache.spark.rdd.RDD
+import org.apache.spark.rdd.{PartitionCoalescer, PartitionGroup, RDD}
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.storage.StorageLevel
 
@@ -139,7 +139,21 @@ object Par {
     * stages that read it run at most that many tasks. */
   private[core] def coalesce[T](rdd: RDD[T], par: Int): RDD[T] = {
     val n = parts(rdd.getNumPartitions, threads(rdd.sparkContext, par))
-    if (rdd.getNumPartitions > n) rdd.coalesce(n) else rdd
+    if (rdd.getNumPartitions > n) rdd.coalesce(n, partitionCoalescer = Some(Ranges)) else rdd
+  }
+
+  /** Merges consecutive partitions: group g of k holds partitions
+    * `[g·p/k, (g+1)·p/k)` of p, as Spark's own coalescer groups them when no
+    * partition has a preferred location. Spark's coalescer groups cached
+    * partitions by their blocks' locations instead, and cells are numbered
+    * in the order of the merged partitions, so a run's cells would depend on
+    * whether its input is cached. */
+  private object Ranges extends PartitionCoalescer with Serializable {
+    def coalesce(k: Int, parent: RDD[_]): Array[PartitionGroup] = Array.tabulate(k) { g =>
+      val (p, group) = (parent.partitions, new PartitionGroup())
+      group.partitions ++= p.slice((g.toLong * p.length / k).toInt, ((g + 1).toLong * p.length / k).toInt)
+      group
+    }
   }
 
   /** Runs `body`, which reads `rdd` more than once, with `rdd` persisted

@@ -20,7 +20,7 @@ class BoxCellsSpec extends SparkSpec {
     assert(allIds.toSeq === (0L until n.toLong))
 
     for (c <- 0 until idx.numCells; j <- 0 until 2)
-      assert(idx.tightHi(c)(j) - idx.tightLo(c)(j) <= side + 1e-12,
+      assert(idx.tightHi(c)(j) - idx.tightLo(c)(j) <= side,
         s"cell $c dim $j extent too large")
 
     // Strips: cells in different strips never overlap in x beyond side.

@@ -328,6 +328,27 @@ class DBSCANSpec extends SparkSpec {
     }
   }
 
+  test("a run's cells and clusters do not depend on whether its input is cached") {
+    // Eight partitions merged into four: Spark's own coalescer groups cached
+    // partitions by their blocks' locations, and cells and cluster ids are
+    // numbered in the order of the merged partitions.
+    val pts = TestUtil.blobPts(4000, 2, 12, 1.5, 120.0, 0.2, 23L)
+    val input = spark.sparkContext.parallelize(pts.toSeq, 8)
+    val cfg = DBSCANConfig(2.0, 6, parallelism = 4)
+    def indexAndRun() = (CellIndex.grid(input, cfg.eps, 2, par = 4), DBSCAN.run(spark, input, 2, cfg))
+    val (idx, res) = indexAndRun()
+    assert(res.numClusters > 1)
+    input.persist().count()
+    try for (i <- 1 to 2) {
+      val (cachedIdx, cached) = indexAndRun()
+      withClue(s"cached run $i: ") {
+        TestUtil.assertSameIndex(cachedIdx, idx)
+        assert(cached.coreCluster.toSeq === res.coreCluster.toSeq)
+        assert(cached.stats.graph === res.stats.graph)
+      }
+    } finally input.unpersist()
+  }
+
   test("USEC and Delaunay reject d != 2 before any job runs") {
     val pts = TestUtil.blobPts(300, 3, 2, 2.0, 40.0, 0.1, 6L)
     for ((graph, name) <- Seq(UsecGraph -> "USEC", DelaunayGraph -> "Delaunay")) {

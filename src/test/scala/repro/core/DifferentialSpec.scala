@@ -7,8 +7,9 @@ import repro.baselines.{HpDbscan, NaiveDBSCAN, PdsDbscan}
 
 /** Every exact algorithm against the sequential reference on degenerate
   * input: no or one point, duplicates, zero-width cells, cell centers that
-  * coincide, pairs exactly ε apart, also far from the origin, and collinear
-  * or cocircular points in 2D.
+  * coincide, pairs exactly ε apart, also far from the origin, collinear or
+  * cocircular points in 2D, and points at opposite corners of a cell whose
+  * float distance exceeds ε by rounding.
   *
   * The structured cases put points on an integer lattice of spacing ε, so
   * every distance is 0, exactly ε, or at least ε√2 > ε(1 + ρ); the lines and
@@ -24,15 +25,16 @@ class DifferentialSpec extends SparkSpec {
 
   private def approximate(name: String): Boolean = name.startsWith("our-approx")
 
-  /** (name, run) of every algorithm that applies at dimension d. */
-  private def algorithms(d: Int): Seq[(String, Array[Pt] => DBSCANResult)] = {
+  /** (name, run) of every algorithm that applies at dimension d, at `e`
+    * and `k` (ε and minPts). `HpDbscan` runs at its default slab count, which
+    * is 1 on inputs this small, and at 2 and 3 slabs, where halos join them. */
+  private def algorithms(d: Int, e: Double = eps, k: Int = minPts): Seq[(String, Array[Pt] => DBSCANResult)] = {
     val registered = DBSCANConfig.variants.map(_._1).filter(name => d == 2 || !name.startsWith("our-2d"))
     registered.map { name =>
-      val cfg = DBSCANConfig.named(name, eps, minPts, rho).get
+      val cfg = DBSCANConfig.named(name, e, k, rho).get
       name -> ((pts: Array[Pt]) => DBSCAN.run(spark, spark.sparkContext.parallelize(pts.toSeq, 3), d, cfg))
-    } ++ Seq(
-      "pdsdbscan" -> ((pts: Array[Pt]) => PdsDbscan.run(spark, pts, eps, minPts)),
-      "hpdbscan" -> ((pts: Array[Pt]) => HpDbscan.run(spark, pts, eps, minPts)))
+    } ++ Seq("pdsdbscan" -> ((pts: Array[Pt]) => PdsDbscan.run(spark, pts, e, k))) ++
+      Seq(0, 2, 3).map(slabs => s"hpdbscan slabs=$slabs" -> ((pts: Array[Pt]) => HpDbscan.run(spark, pts, e, k, slabs)))
   }
 
   private def pts(xs: Seq[Array[Double]]): Array[Pt] = xs.zipWithIndex.map { case (x, i) => Pt(i, x) }.toArray
@@ -88,10 +90,14 @@ class DifferentialSpec extends SparkSpec {
       pts(circle((0.5, 0.5), 1.5, 12) ++ circle((20.5, 0.5), 3.0, 24)),
   )
 
-  private def check(name: String, run: Array[Pt] => DBSCANResult, input: Array[Pt]): Unit = {
-    val want = NaiveDBSCAN.run(input, eps, minPts)
+  private def check(name: String, run: Array[Pt] => DBSCANResult, input: Array[Pt]): Unit =
+    checkAt(eps, minPts)(name, run, input)
+
+  /** `run` equals the reference at ε = `e` and minPts = `k` on `input`. */
+  private def checkAt(e: Double, k: Int)(name: String, run: Array[Pt] => DBSCANResult, input: Array[Pt]): Unit = {
+    val want = NaiveDBSCAN.run(input, e, k)
     try TestUtil.assertSameClustering(run(input), want)
-    catch { case e: Exception => fail(s"$name: ${e.getMessage}", e) }
+    catch { case ex: Exception => fail(s"$name: ${ex.getMessage}", ex) }
   }
 
   for (d <- Seq(2, 3); (caseName, input) <- cases(d))
@@ -155,6 +161,66 @@ class DifferentialSpec extends SparkSpec {
         withClue(s"$name t=$t eps=$e: ")(TestUtil.assertSameClustering(got, want))
       }
     }
+  }
+
+  test("every 2D algorithm == naive on two box-cell corners whose float diagonal exceeds eps") {
+    // The second point is the float sum 187.22 + ε/√2 on both axes, so a
+    // strip and a box that start at 187.22 and end at that sum hold both
+    // points, yet their float distance exceeds ε.
+    val e = 2.02423329661499
+    val s = e / math.sqrt(2.0)
+    val input = pts(Seq(Array(187.22, 187.22), Array(187.22 + s, 187.22 + s)))
+    assert(!Dist.leq(input(0).x, input(1).x, e))
+    assert(NaiveDBSCAN.run(input, e, 2).numCore === 0)
+    for ((name, run) <- algorithms(2, e, 2)) checkAt(e, 2)(name, run, input)
+  }
+
+  test("every 3D algorithm == naive on the corners of grid cell -1 whose float diagonal exceeds eps") {
+    // Cell −1 on each axis spans [−s, 0) at s = ε/√3, so both points share
+    // one grid cell of that side, yet 3·s² rounds above ε² = 1.
+    val s = 1.0 / math.sqrt(3.0)
+    val input = pts(Seq(Array.fill(3)(-s), Array.fill(3)(-1e-300)))
+    assert(!Dist.leq(input(0).x, input(1).x, 1.0))
+    assert(NaiveDBSCAN.run(input, 1.0, 2).numCore === 0)
+    for ((name, run) <- algorithms(3, 1.0, 2)) checkAt(1.0, 2)(name, run, input)
+  }
+
+  /** 1 to 12 pairs of points at opposite corners of one cell, with ε drawn
+    * from [0.5, 5) and minPts from 1 to 3. The cell side s is either
+    * `sideFor`'s or the float ε/√d. Per axis, grid cell k spans
+    * [k·s, (k+1)·s): one point lies at k·s, the other at the largest double
+    * below (k+1)·s, or at −1e-300 in cell −1, the cell whose float extent can
+    * reach s. A third of the pairs lie in cell −1 on every axis; in another
+    * third, each coordinate may move by an ulp to either side, or by ε. The
+    * last third put one point at random in [−200, 200)^d and the other at
+    * its float sum with s on every axis, the corners of a box cell. */
+  private def cellCorners(d: Int): Gen[(Double, Int, List[List[Double]])] =
+    for {
+      e <- Gen.choose(0.5, 5.0)
+      k <- Gen.choose(1, 3)
+      side <- Gen.oneOf(CellIndex.sideFor(e, d), e / math.sqrt(d.toDouble))
+      nudge = Gen.oneOf[Double => Double](identity[Double] _, math.nextUp(_: Double), math.nextDown(_: Double),
+        (_: Double) + e, (_: Double) - e)
+      grid = Gen.oneOf(Gen.const(List.fill(d)(-1)), Gen.listOfN(d, Gen.choose(-2, 1))).flatMap { keys =>
+        val (lo, hi) = keys.map(c => (c * side, if (c == -1) -1e-300 else math.nextDown((c + 1) * side))).unzip
+        if (keys.forall(_ == -1)) Gen.const(List(lo, hi))
+        else for (f <- Gen.listOfN(2 * d, nudge)) yield
+          List(lo.zip(f).map { case (x, g) => g(x) }, hi.zip(f.drop(d)).map { case (x, g) => g(x) })
+      }
+      box = Gen.listOfN(d, Gen.choose(-200.0, 200.0)).map(lo => List(lo, lo.map(_ + side)))
+      pair = Gen.frequency(2 -> grid, 1 -> box)
+      pairs <- Gen.choose(1, 12).flatMap(Gen.listOfN(_, pair))
+    } yield (e, k, pairs.flatten)
+
+  for (d <- 1 to 4) test(s"every exact algorithm == naive on opposite corners of cells on both sides of 0, d=$d") {
+    val prop = Prop.forAllNoShrink(cellCorners(d)) { case (e, k, xs) =>
+      val input = pts(xs.map(_.toArray))
+      for ((name, run) <- algorithms(d, e, k) if !approximate(name))
+        withClue(s"eps=$e minPts=$k points=${xs.map(_.mkString("(", ", ", ")")).mkString(" ")}: ")(checkAt(e, k)(name, run, input))
+      true
+    }
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(10).withInitialSeed(Seed(20240601L + d)), prop)
+    assert(res.passed, res.status)
   }
 
   test("every exact grid algorithm == naive on random points, d=1") {

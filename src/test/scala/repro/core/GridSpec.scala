@@ -45,11 +45,12 @@ class GridSpec extends SparkSpec {
     assert(idx.start(idx.numCells) === idx.n)
     assert(idx.ids.sorted.toSeq === (0 until 500))
 
-    // Cell extent per dimension is < side, so the diagonal is <= eps:
+    // Cell extent per dimension is <= side, so the diagonal is <= eps:
     // any two points of a cell are within eps of each other.
     for (c <- 0 until idx.numCells) {
-      for (j <- 0 until d) assert(idx.tightHi(c)(j) - idx.tightLo(c)(j) <= side + 1e-12)
-      for (p <- idx.pts(c); q <- Seq(idx.pts(c).head))
+      for (j <- 0 until d) assert(idx.tightHi(c)(j) - idx.tightLo(c)(j) <= side)
+      assert(Dist.leq(idx.tightLo(c), idx.tightHi(c), eps), s"cell $c diagonal")
+      for (p <- idx.pts(c); q <- idx.pts(c))
         assert(Dist.leq(p.x, q.x, eps))
     }
 
@@ -98,7 +99,7 @@ class GridSpec extends SparkSpec {
 
   for (parts <- Seq(1, 2, 3, 4, 7)) test(s"cells group the points exactly by grid key at $parts partitions") {
     val eps = 2.0; val side = CellIndex.sideFor(eps, 3)
-    // The 5-point input leaves map tasks and reducers with nothing at 7.
+    // The 5-point input leaves some map tasks with nothing at 7.
     for (pts <- Seq(TestUtil.blobPts(400, 3, 4, 2.0, 30.0, 0.2, parts), TestUtil.uniformPts(5, 3, 10.0, parts))) {
       val input = spark.sparkContext.parallelize(pts.toSeq, parts)
       val idx = CellIndex.grid(input, eps, 3, par = parts)
@@ -125,32 +126,35 @@ class GridSpec extends SparkSpec {
     }
   }
 
-  /** `body`'s result and the shuffle records each of its map tasks wrote. */
-  private def shuffleRecords[T](body: => T): (T, Seq[Long]) = {
-    val stages = mutable.Set[Int]()
-    val written = mutable.ArrayBuffer[Long]() // listener-bus thread until drained
+  /** `body`'s result and, per job it ran, its stages' task counts; and the
+    * shuffle bytes its tasks wrote. */
+  private def stagesOf[T](body: => T): (T, Seq[Seq[Int]], Long) = {
+    val jobs = mutable.ArrayBuffer[Seq[Int]]() // listener-bus thread until drained
+    val tasks = mutable.Map[Int, Int]().withDefaultValue(0)
+    var written = 0L
     val out = TestUtil.listening(spark.sparkContext)(group => new SparkListener {
       override def onJobStart(e: SparkListenerJobStart): Unit =
-        if (TestUtil.jobGroup(e.properties) == group) stages ++= e.stageIds
+        if (TestUtil.jobGroup(e.properties) == group) jobs += e.stageIds
       override def onTaskEnd(e: SparkListenerTaskEnd): Unit =
-        if (stages(e.stageId) && e.taskType == "ShuffleMapTask")
-          written += e.taskMetrics.shuffleWriteMetrics.recordsWritten
+        if (jobs.exists(_.contains(e.stageId))) {
+          tasks(e.stageId) += 1
+          written += e.taskMetrics.shuffleWriteMetrics.bytesWritten
+        }
     })(body)
-    (out, written.toSeq)
+    (out, jobs.map(_.map(tasks)).toSeq, written)
   }
 
-  test("the grouping's map tasks write at most one shuffle record per reducer") {
+  test("the cells are grouped in one stage of Par.parts tasks that writes no shuffle") {
     val pts = TestUtil.uniformPts(2000, 2, 200.0, 33L)
     for (parts <- Seq(1, 4)) {
-      val input = spark.sparkContext.parallelize(pts.toSeq, parts)
-      for ((name, build) <- Seq[(String, () => CellIndex)](
-          "grid" -> (() => CellIndex.grid(input, 3.0, 2, par = parts)),
-          "box" -> (() => CellIndex.box2d(input, 3.0, par = parts)))) {
-        val (idx, written) = shuffleRecords(build())
-        // Each map task holds far more than `parts` cells: a record per cell would exceed the bound.
-        assert(idx.numCells > 100 * parts, s"$name: ${idx.numCells} cells")
-        assert(written.length === parts, s"$name: map tasks")
-        assert(written.forall(_ <= parts), s"$name at $parts partitions: records ${written.mkString(", ")}")
+      val input = spark.sparkContext.parallelize(pts.toSeq, 2 * parts)
+      // Box cells collect the coordinates for their boundaries in a job before the grouping.
+      for ((cells, jobs) <- Seq(GridCells -> 1, BoxCells -> 2)) {
+        val (idx, stages, written) = stagesOf(CellIndex.cells(input, 3.0, 2, cells, parts))
+        assert(idx.numCells > 100 * parts, s"$cells: ${idx.numCells} cells")
+        // Each job is one stage, of one task per coalesced partition.
+        assert(stages === Seq.fill(jobs)(Seq(Par.parts(2 * parts, parts))), s"$cells at $parts partitions")
+        assert(written === 0L, s"$cells at $parts partitions: shuffle bytes")
       }
     }
   }
@@ -179,8 +183,9 @@ class GridSpec extends SparkSpec {
 
   for (d <- Seq(1, 2, 3); parts <- Seq(1, 3)) test(s"keys at the Int limits stay apart in every dimension d=$d at $parts partitions") {
     // Side 1: a coordinate k + 0.5 has key k, so these are the keys −2^31, −1,
-    // 0 and 2^31 − 1 in every combination, each held by two points.
-    val eps = math.sqrt(d.toDouble)
+    // 0 and 2^31 − 1 in every combination, each held by two points. At d = 3,
+    // 3·1·1 exceeds √3·√3 in floats, so the side of ε = √3 is below 1.
+    val eps = Iterator.iterate(math.sqrt(d.toDouble))(math.nextUp).find(CellIndex.sideFor(_, d) >= 1.0).get
     assert(CellIndex.sideFor(eps, d) === 1.0)
     val ks = Seq(Int.MinValue, -1, 0, Int.MaxValue)
     val keys = (0 until d).foldLeft(Seq(Seq.empty[Int]))((acc, _) => for (k <- acc; j <- ks) yield k :+ j)
@@ -208,10 +213,9 @@ class GridSpec extends SparkSpec {
     (a, b)
   }
 
-  test("keys that share a table slot stay two cells on the map side and the reduce side") {
-    // Three points, one partition: the map task's table and the one reducer's
-    // table are both sized for at most three keys, so the two keys collide in
-    // each.
+  test("keys sharing a table slot stay two cells in a map task and the driver's merge") {
+    // Three points, one partition: the map task's table and the merge's table
+    // are both sized for at most three keys, so the two keys collide in each.
     val (a, b) = sharedSlot((1 to 64).map(i => Array(i, 0)), 3)
     assert(KeyTable.capacity(2) === KeyTable.capacity(3))
     val t = new KeyTable(Array.concat(a, b, a), 2, 3)
@@ -224,7 +228,7 @@ class GridSpec extends SparkSpec {
   test("box cells group through the same key table, keys differing in their last dimension and sharing slots") {
     // One x-strip of 40 y-boxes, 2ε/√2 apart: the box keys (0, 0) .. (0, 39)
     // differ only in their last dimension, and two of them share a slot in
-    // the tables of the one map task and the one reducer.
+    // the tables of the one map task and of the driver's merge.
     val eps = math.sqrt(2.0)
     val pts = (0 until 80).map(i => Pt(i, Array(0.1 * (i % 2), 2.0 * (i / 2)))).toArray
     sharedSlot((0 until 40).map(j => Array(0, j)), 80)
